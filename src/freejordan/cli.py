@@ -6,7 +6,10 @@ compute actual module structures, two-gen builds the comparison table on
 two generators, tag handles structure-constant files and homology, and
 verify replays the headline checks.  Output is text by default, --json or
 --csv where tabular.  Exit codes: 0 success (and every check passing),
-2 usage or input error, 3 a computation refused as infeasible.
+2 usage or input error, or an arithmetic failure (ArithmeticError: ranks
+that disagree across primes, an inexact division in the character solve),
+3 a computation refused as infeasible.  Errors print one line to stderr,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -393,7 +396,7 @@ def main(argv=None) -> int:
         if err.estimate:
             print("estimated size: %s" % err.estimate, file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, RuntimeError) as err:
+    except (ValueError, OSError, KeyError, RuntimeError, ArithmeticError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

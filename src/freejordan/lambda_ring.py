@@ -19,6 +19,26 @@ the unique graded pair (a, b) with
 degree by degree: if F is the lambda of everything below degree n, the
 new unknowns enter the degree-n part only as -(a_n [L(2)] + b_n [L(0)]),
 so b_n and a_n are read off the two isotypes of F's degree-n part.
+
+The solve does not form F by products of full lambda-images.  It runs on
+integer coordinates: c is the coefficient of p_mu q^k / z_mu, which is a
+character value and so an integer for every virtual character.  There
+
+    (p_mu/z_mu)(p_nu/z_nu) = prod_i C(m_i(mu) + m_i(nu), m_i(mu)) p_{mu+nu}/z_{mu+nu}
+    psi^m(p_mu/z_mu)       = m^len(mu) p_{m*mu}/z_{m*mu}
+
+(mu+nu the union of parts, m_i the multiplicity of part i), both with
+integer factors.  With D multiplying the degree-n part by n, D(F) =
+D(log F) F, so from G_j = j (log F)_j
+
+    F_n = (1/n) sum_{j=1..n} G_j F_{n-j}.
+
+This gives F_n before the degree-n unknowns enter; then F_n loses the
+new step s_n = a_n [L(2)] + b_n [L(0)], and G_{nm} gains -n psi^m(s_n)
+for every m <= N/n (log lambda(s) = -sum_m psi^m(s)/m).  The division by
+n is exact in exact arithmetic; a remainder means a bug, and raises
+ArithmeticError rather than rounding.  a and b are converted back to
+Fraction coefficients only at the end.
 """
 
 from __future__ import annotations
@@ -110,9 +130,6 @@ class GradedCharacter:
     def max_degree(self) -> int:
         return max((sum(mu) for (mu, _) in self.terms), default=0)
 
-    def is_q_free(self) -> bool:
-        return all(k == 0 for (_, k) in self.terms)
-
 
 def _merge_partitions(mu: tuple, nu: tuple) -> tuple:
     return tuple(sorted(mu + nu, reverse=True))
@@ -193,41 +210,100 @@ L2 = l_character(2)
 
 
 def _solve_raw(N: int) -> tuple:
-    a = GradedCharacter(N, {})
-    b = GradedCharacter(N, {})
-    F = unit(N)
+    """The recursion on integer p_mu/z_mu coordinates (see module docstring).
+
+    F[n] and G[n] map mu to {k: c}, the coefficient of p_mu q^k / z_mu in
+    the degree-n part of F = lambda(solved so far) and of
+    G = D(log F), D multiplying degree n by n.
+    """
+    merged = {}
+
+    def merge(mu, nu):
+        # (p_mu/z_mu)(p_nu/z_nu) = factor * p_lam/z_lam, factor = z_lam/(z_mu z_nu)
+        hit = merged.get((mu, nu))
+        if hit is None:
+            lam = _merge_partitions(mu, nu)
+            hit = merged[(mu, nu)] = (lam, zee(lam) // (zee(mu) * zee(nu)))
+        return hit
+
+    F = [{(): {0: 1}}] + [{} for _ in range(N)]
+    G = [{} for _ in range(N + 1)]
+    a, b = {}, {}
     for n in range(1, N + 1):
-        K = GradedCharacter(N, F.degree_part(n))
-        b_n = sl2_isotype(K, 0)
-        a_n = sl2_isotype(K, 2)
+        # D(F) = D(log F) * F, read in degree n
+        K = {}
+        for j in range(1, n + 1):
+            rest = F[n - j]
+            for mu, gpoly in G[j].items():
+                for nu, fpoly in rest.items():
+                    lam, factor = merge(mu, nu)
+                    out = K.setdefault(lam, {})
+                    for k, g in gpoly.items():
+                        g *= factor
+                        for l, f in fpoly.items():
+                            out[k + l] = out.get(k + l, 0) + g * f
         if n == 1:
-            a_n = a_n + powersum(N, (1,))
-        a = a + a_n
-        b = b + b_n
-        step = times_sl2(a_n, L2) + b_n
-        if step.terms:
-            F = F * lambda_op(step)
-    return a, b
+            K[(1,)] = {}  # a_1 = p_1 is the only unknown not read off K
+        step = {}
+        for lam, poly in K.items():
+            for k, c in poly.items():
+                poly[k], r = divmod(c, n)
+                if r:
+                    raise ArithmeticError(
+                        "degree %d: coefficient %d of p_%s q^%d is not divisible by %d"
+                        % (n, c, lam, k, n)
+                    )
+            c0, c2, c4 = poly.get(0, 0), poly.get(2, 0), poly.get(4, 0)
+            a_c = c2 - c4 + (1 if lam == (1,) else 0)
+            b_c = c0 - c2
+            if a_c:
+                a[lam] = a_c
+            if b_c:
+                b[lam] = b_c
+            if a_c or b_c:
+                step[lam] = {-2: a_c, 0: a_c + b_c, 2: a_c}
+                for k, c in step[lam].items():
+                    poly[k] = poly.get(k, 0) - c
+        # F_n = K - step, without zero coefficients
+        for lam, poly in K.items():
+            poly = {k: c for k, c in poly.items() if c}
+            if poly:
+                F[n][lam] = poly
+        # log lambda(step) = -sum_m psi^m(step) / m lands in degrees n*m
+        for m in range(1, N // n + 1):
+            Gnm = G[n * m]
+            for lam, spoly in step.items():
+                w = -n * m ** len(lam)
+                out = Gnm.setdefault(tuple(m * part for part in lam), {})
+                for k, c in spoly.items():
+                    if c:
+                        out[m * k] = out.get(m * k, 0) + w * c
+    return (
+        GradedCharacter(N, {(lam, 0): Fraction(c, zee(lam)) for lam, c in a.items()}),
+        GradedCharacter(N, {(lam, 0): Fraction(c, zee(lam)) for lam, c in b.items()}),
+    )
 
 
-_solved: dict = {}
+# (N, a, b) of the largest solve so far; replaced by one rebinding, so a
+# concurrent reader sees either the old triple or the new one
+_solved: tuple = (0, None, None)
 
 
 def solve_characters(d: int, N: int) -> tuple:
     """The unique (a, b) making lambda(a[L2] + b[L0]) trivial in sl2.
 
     Solved degree by degree; F carries lambda of everything already fixed.
-    The recursion never looks at d, so results are cached by N alone and
+    The recursion never looks at d, so the largest solve is kept and
     reused (sliced down) for smaller truncations.
     """
+    global _solved
     if d < 1 or N < 1:
         raise ValueError("need d >= 1 and N >= 1")
-    best = max(_solved, default=0)
-    if N > best:
-        _solved.clear()
-        _solved[N] = _solve_raw(N)
-        best = N
-    a, b = _solved[best]
+    solved = _solved
+    if N > solved[0]:
+        solved = (N, *_solve_raw(N))
+        _solved = solved
+    _, a, b = solved
     return (
         GradedCharacter(N, a.terms, d),
         GradedCharacter(N, b.terms, d),

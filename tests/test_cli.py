@@ -5,8 +5,10 @@ import json
 import pytest
 
 import freejordan.cache as cache_mod
+import freejordan.cli as cli_mod
 from freejordan.cache import cache_get, cache_put, cached
 from freejordan.cli import main
+from freejordan.errors import UnluckyPrimeError
 from freejordan.tables import TWO_GEN_B_DIMS, TWO_GEN_DIMS
 from freejordan.verify import VerificationReport, _check, run_suites
 
@@ -285,6 +287,18 @@ def test_cli_verify_exit_zero(capsys):
     assert code == 0
     reports = json.loads(out)
     assert reports[0]["passed"] is True
+
+
+def test_cli_arithmetic_error_exits_two(capsys, monkeypatch):
+    def unlucky(args):
+        raise UnluckyPrimeError({1048573: 5, 1048571: 4})
+
+    monkeypatch.setattr(cli_mod, "cmd_two_gen", unlucky)
+    code, _, err = run_cli(capsys, "two-gen", "--max-degree", "3")
+    assert code == 2
+    assert err.startswith("error: rank disagreement")
+    assert "1048571" in err
+    assert "Traceback" not in err
 
 
 def test_cli_usage_errors():

@@ -256,6 +256,48 @@ def test_character_dims_agree_with_series_predictor():
         assert dims_from_character(a, p).dims == predict_dims(p, N).dims
 
 
+def product_of_lambdas_oracle(N):
+    """The recursion as a product of full lambda-images, in Fractions.
+
+    If F is lambda of everything fixed below degree n, the degree-n
+    unknowns enter F's degree-n part only as -(a_n [L(2)] + b_n [L(0)]);
+    read them off the isotypes and multiply F by lambda of the new step.
+    """
+    a = GradedCharacter(N, {})
+    b = GradedCharacter(N, {})
+    F = unit(N)
+    for n in range(1, N + 1):
+        K = GradedCharacter(N, F.degree_part(n))
+        b_n = sl2_isotype(K, 0)
+        a_n = sl2_isotype(K, 2)
+        if n == 1:
+            a_n = a_n + powersum(N, (1,))
+        a = a + a_n
+        b = b + b_n
+        step = times_sl2(a_n, L2) + b_n
+        if step.terms:
+            F = F * lambda_op(step)
+    return a, b
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_solution_matches_product_of_lambdas(N):
+    a, b = solve_characters(N, N)
+    a_ref, b_ref = product_of_lambdas_oracle(N)
+    assert a.terms == a_ref.terms
+    assert b.terms == b_ref.terms
+
+
+def test_solve_refuses_an_inexact_division(monkeypatch):
+    # dropping the z_mu factors breaks the product rule; the exp recurrence
+    # must then hit a remainder and raise instead of rounding
+    import freejordan.lambda_ring as lambda_ring
+
+    monkeypatch.setattr(lambda_ring, "zee", lambda mu: 1)
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        lambda_ring._solve_raw(6)
+
+
 def test_solution_slicing_is_consistent():
     a8, b8 = solve_characters(8, 8)
     a5, b5 = solve_characters(5, 5)
