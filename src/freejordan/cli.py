@@ -160,6 +160,12 @@ def cmd_operad(args) -> int:
 
         if not is_prime(args.prime):
             raise ValueError("%d is not prime" % args.prime)
+        if args.prime <= n:
+            # S_n representation matrices and the 1/2^k coefficients
+            # need every integer up to n to be invertible
+            raise ValueError(
+                "--prime %d must exceed the degree %d" % (args.prime, n)
+            )
     primes = [args.prime] if args.prime else None
     shapes = [_parse_partition(args.shape)] if args.shape else list(partitions(n))
     for shape in shapes:
@@ -354,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("operad", help="multilinear module structure, by rank")
     p.add_argument("--degree", type=int, required=True, metavar="n")
     p.add_argument("--lambda", dest="shape", metavar="PART", help="one partition, e.g. 3,1")
-    p.add_argument("--prime", type=int, help="use a single specific prime")
+    p.add_argument("--prime", type=int,
+                   help="use one prime p > n; a single prime is not certified")
     p.add_argument("--oracle", action="store_true", help="cross-check with the naive span")
     common(p)
     p.set_defaults(fn=cmd_operad)

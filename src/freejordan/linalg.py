@@ -1,10 +1,10 @@
 """Exact linear algebra over Q and over word-sized prime fields.
 
 Scalars are python ints and fractions.Fraction; nothing here ever trusts a
-float. Matrices are dense: numpy integer arrays for modular work, lists of
-lists for rational work. The float64 matmul fast path below is exact by a
-counting argument (all intermediate values stay under 2**53), never an
-approximation.
+float. Modular matrices are dense numpy integer arrays; rational matrices
+are lists of lists, except in ExactRowReducer, whose rows are sparse dicts.
+The float64 matmul fast path below is exact by a counting argument (all
+intermediate values stay under 2**53), never an approximation.
 
 Thread-safety: all functions are pure; RankAccumulator instances are not
 shared between threads.
@@ -372,43 +372,60 @@ class RankAccumulator:
 
 
 class ExactRowReducer:
-    """Incremental reduced row echelon form over Fraction.
+    """Incremental reduced row echelon form over Q, on sparse rows.
 
-    Far slower than the modular accumulators; meant for small spaces where
-    exact quotient coordinates are needed, not just ranks.
+    A row is a dict {column: value}; a dense sequence is read as its
+    nonzero entries.  Each pivot row is stored as such a dict, scaled to 1
+    at its pivot column (its smallest column) and zero at every other
+    pivot column.  Because of that second property, reducing a row only
+    subtracts the pivot rows whose pivot columns occur in it, in one pass,
+    and the remainder (a dict, zero entries dropped) has no entry in any
+    pivot column: its entries are the row's coordinates on the non-pivot
+    columns.
+
+    Far slower than the modular accumulators for ranks alone; meant for
+    spaces where exact quotient coordinates are needed.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, list[Fraction]] = {}
+        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row) -> list[Fraction]:
+    def reduce(self, row) -> dict[int, Fraction]:
         """Remainder of one row modulo the accumulated span."""
-        row = [Fraction(x) for x in row]
-        for col, pivot in self.pivot_rows.items():
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {j: Fraction(x) for j, x in items if x}
+        for col in [j for j in row if j in self.pivot_rows]:
             c = row[col]
-            if c:
-                for j in range(col, self.ncols):
-                    row[j] -= c * pivot[j]
+            for j, x in self.pivot_rows[col].items():
+                v = row.get(j, 0) - c * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         return row
 
     def add(self, row) -> bool:
         """Insert one row; returns True when it enlarged the span."""
         row = self.reduce(row)
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
+        if not row:
             return False
+        lead = min(row)
         inv = 1 / row[lead]
-        row = [x * inv for x in row]
+        row = {j: x * inv for j, x in row.items()}
         for pivot in self.pivot_rows.values():
-            c = pivot[lead]
+            c = pivot.get(lead)
             if c:
-                for j in range(lead, self.ncols):
-                    pivot[j] -= c * row[j]
+                for j, x in row.items():
+                    v = pivot.get(j, 0) - c * x
+                    if v:
+                        pivot[j] = v
+                    else:
+                        del pivot[j]
         self.pivot_rows[lead] = row
         return True
 

@@ -295,13 +295,14 @@ class Component:
 
     def coords(self, elt: dict) -> dict:
         """Coordinates of a straightened element in the quotient basis."""
-        vec = [Fraction(0)] * len(self.span)
+        vec = {}
         for m, c in elt.items():
             if m not in self._index:
                 raise ValueError("monomial %r has the wrong content" % (m,))
-            vec[self._index[m]] += c
+            vec[self._index[m]] = c
+        # the remainder lives on non-pivot columns, which are the basis
         rem = self._reducer.reduce(vec)
-        return {m: rem[self._index[m]] for m in self.basis if rem[self._index[m]]}
+        return {self.span[t]: rem[t] for t in sorted(rem)}
 
 
 @cache
@@ -318,8 +319,5 @@ def component(delta: tuple, bound: int = 8) -> Component:
     index = {m: i for i, m in enumerate(span)}
     red = ExactRowReducer(len(span))
     for r in relation_rows(delta):
-        row = [Fraction(0)] * len(span)
-        for m, c in r.items():
-            row[index[m]] += c
-        red.add(row)
+        red.add({index[m]: c for m, c in r.items()})
     return Component(delta, span, red)

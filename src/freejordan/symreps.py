@@ -145,10 +145,6 @@ def clifton_matrix(shape: tuple, sigma: tuple) -> np.ndarray:
 _clifton_cache: dict = {}
 
 
-def clear_clifton_cache() -> None:
-    _clifton_cache.clear()
-
-
 def _fraction_inverse(mat) -> list:
     """Gauss-Jordan of a small square integer matrix into Fractions."""
     h = len(mat)

@@ -46,6 +46,16 @@ def _deg_add(d1: tuple, d2: tuple) -> tuple:
     return tuple(a + b for a, b in zip(d1, d2))
 
 
+def _add_into(out: dict, vec: dict, c=1) -> None:
+    """out += c * vec for sparse vectors, dropping entries that cancel."""
+    for k, x in vec.items():
+        v = out.get(k, F0) + c * x
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+
+
 class AlgebraFD:
     """A finite-dimensional algebra given by rational structure constants.
 
@@ -82,13 +92,7 @@ class AlgebraFD:
         out = {}
         for i, ca in va.items():
             for j, cb in vb.items():
-                c = ca * cb
-                for k, s in self.product(i, j).items():
-                    v = out.get(k, F0) + c * s
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                _add_into(out, self.product(i, j), ca * cb)
         return out
 
     def left_mult_matrix(self, i: int) -> list:
@@ -142,12 +146,7 @@ class AlgebraFD:
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 s = sign(a, c)
                 for m, cm in self.product(a, b).items():
-                    for t, ct in self.product(m, c).items():
-                        v = acc.get(t, F0) + s * cm * ct
-                        if v:
-                            acc[t] = v
-                        else:
-                            acc.pop(t, None)
+                    _add_into(acc, self.product(m, c), s * cm)
             if acc:
                 raise ValueError(
                     "Jacobi fails on basis triple (%s, %s, %s)"
@@ -233,25 +232,22 @@ def symmetric_matrix_jordan(n: int) -> AlgebraFD:
     return AlgebraFD("jordan", labels, table)
 
 
-def _matmul(a: list, b: list) -> list:
-    n = len(a)
-    return [
-        [sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n)] for r in range(n)
-    ]
+def _d_ab(J: AlgebraFD, i: int, j: int) -> dict:
+    """The commutator [L_i, L_j] with the parity sign, column by column.
 
-
-def _matsub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _d_ab(J: AlgebraFD, la: dict, i: int, j: int) -> list:
-    """The commutator [L_i, L_j] with the parity sign."""
-    li, lj = la[i], la[j]
-    ij = _matmul(li, lj)
-    ji = _matmul(lj, li)
-    if J.parity[i] and J.parity[j]:
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ij, ji)]
-    return _matsub(ij, ji)
+    Column c is i(jc) - j(ic), or i(jc) + j(ic) when i and j are both odd,
+    summed over the structure table.  The result maps each nonzero column
+    c to its entries {row: coefficient}.
+    """
+    s = 1 if (J.parity[i] and J.parity[j]) else -1
+    ei, ej = {i: F1}, {j: F1}
+    cols = {}
+    for c in range(J.dim):
+        col = J.mult(ei, J.product(j, c))
+        _add_into(col, J.mult(ej, J.product(i, c)), s)
+        if col:
+            cols[c] = col
+    return cols
 
 
 @dataclass
@@ -260,31 +256,22 @@ class DerivationSpace:
 
     ambient_dim: int
     pairs: tuple
-    generators: tuple  # matrices, rows index the output
+    generators: tuple  # sparse columns {column: {row: coefficient}}
     rank: int
 
 
-def _is_derivation(J: AlgebraFD, D: list, p_d: int) -> bool:
+def _is_derivation(J: AlgebraFD, D: dict, p_d: int) -> bool:
+    """D(uv) = D(u)v + (-1)^(|D||u|) u D(v) on every basis pair u, v."""
     for u in range(J.dim):
-        du = [D[r][u] for r in range(J.dim)]
+        du = D.get(u, {})
+        sgn = -1 if (p_d and J.parity[u]) else 1
         for v in range(J.dim):
-            dv = [D[r][v] for r in range(J.dim)]
             lhs = {}
             for k, c in J.product(u, v).items():
-                for r in range(J.dim):
-                    if D[r][k]:
-                        lhs[r] = lhs.get(r, F0) + c * D[r][k]
-            rhs = {}
-            for r, c in enumerate(du):
-                if c:
-                    for k, s in J.product(r, v).items():
-                        rhs[k] = rhs.get(k, F0) + c * s
-            sgn = -1 if (p_d and J.parity[u]) else 1
-            for r, c in enumerate(dv):
-                if c:
-                    for k, s in J.product(u, r).items():
-                        rhs[k] = rhs.get(k, F0) + sgn * c * s
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                _add_into(lhs, D.get(k, {}), c)
+            rhs = J.mult(du, {v: F1})
+            _add_into(rhs, J.mult({u: F1}, D.get(v, {})), sgn)
+            if lhs != rhs:
                 return False
     return True
 
@@ -298,22 +285,16 @@ def inner_derivations(J: AlgebraFD, verify_limit: int = 12) -> DerivationSpace:
     """
     if J.kind != "jordan":
         raise ValueError("inner derivations ask for a jordan-kind algebra")
-    la = [J.left_mult_matrix(i) for i in range(J.dim)]
     for i in range(J.dim):
-        sq = J.product(i, i)
-        lsq = [[F0] * J.dim for _ in range(J.dim)]
-        for k, c in sq.items():
-            for r in range(J.dim):
-                for s in range(J.dim):
-                    if la[k][r][s]:
-                        lsq[r][s] += c * la[k][r][s]
-        comm = _matsub(_matmul(la[i], lsq), _matmul(lsq, la[i]))
         if J.parity[i]:
             continue  # odd a: a*a = 0 already forces nothing here
-        if any(any(row) for row in comm):
-            raise ValueError(
-                "[L_a, L_{aa}] != 0 for a = %s; not a Jordan algebra" % J.labels[i]
-            )
+        a, aa = {i: F1}, J.product(i, i)
+        for c in range(J.dim):
+            e = {c: F1}
+            if J.mult(a, J.mult(aa, e)) != J.mult(aa, J.mult(a, e)):
+                raise ValueError(
+                    "[L_a, L_{aa}] != 0 for a = %s; not a Jordan algebra" % J.labels[i]
+                )
     pairs = [(i, j) for i in range(J.dim) for j in range(i, J.dim)
              if i < j or J.parity[i]]
     gens = []
@@ -321,8 +302,8 @@ def inner_derivations(J: AlgebraFD, verify_limit: int = 12) -> DerivationSpace:
     red = ExactRowReducer(J.dim * J.dim)
     rnd = random.Random(7)
     for i, j in pairs:
-        D = _d_ab(J, la, i, j)
-        if not any(any(row) for row in D):
+        D = _d_ab(J, i, j)
+        if not D:
             continue
         p_d = (J.parity[i] + J.parity[j]) % 2
         if J.dim <= verify_limit or rnd.random() < 0.1:
@@ -332,7 +313,7 @@ def inner_derivations(J: AlgebraFD, verify_limit: int = 12) -> DerivationSpace:
                 )
         gens.append(D)
         kept_pairs.append((i, j))
-        red.add([c for row in D for c in row])
+        red.add({r * J.dim + c: v for c, col in D.items() for r, v in col.items()})
     return DerivationSpace(J.dim, tuple(kept_pairs), tuple(gens), red.rank)
 
 
@@ -371,10 +352,7 @@ class BSpace:
                         continue
                     key = self._key(next(iter(row)))
                     block_pairs, index, red = self._blocks[key]
-                    vec = [F0] * len(block_pairs)
-                    for pr, cf in row.items():
-                        vec[index[pr]] = cf
-                    red.add(vec)
+                    red.add({index[pr]: cf for pr, cf in row.items()})
         self.basis = []
         for key in sorted(self._blocks, key=lambda k: (k is not None, k)):
             block_pairs, index, red = self._blocks[key]
@@ -383,7 +361,6 @@ class BSpace:
                 pr for t, pr in enumerate(block_pairs) if t not in piv
             )
         self.basis = tuple(self.basis)
-        self._basis_set = set(self.basis)
         self.dim = len(self.basis)
 
     def _key(self, pair):
@@ -428,11 +405,9 @@ class BSpace:
             s = F1 if (J.parity[i] and J.parity[j]) else -F1
             i, j = j, i
         block_pairs, index, red = self._blocks[self._key((i, j))]
-        vec = [F0] * len(block_pairs)
-        vec[index[(i, j)]] = s
-        rem = red.reduce(vec)
-        return {pr: rem[index[pr]] for pr in block_pairs
-                if pr in self._basis_set and rem[index[pr]]}
+        # the remainder lives on non-pivot columns, which are the basis
+        rem = red.reduce({index[(i, j)]: s})
+        return {block_pairs[t]: rem[t] for t in sorted(rem)}
 
 
 def b_space(J: AlgebraFD) -> BSpace:
@@ -470,8 +445,7 @@ def tag(J: AlgebraFD, check: str = "auto") -> AlgebraFD:
     if J.kind != "jordan":
         raise ValueError("tag asks for a jordan-kind algebra")
     B = b_space(J)
-    la = [J.left_mult_matrix(i) for i in range(J.dim)]
-    d_mats = {pr: _d_ab(J, la, *pr) for pr in B.basis}
+    d_mats = {pr: _d_ab(J, *pr) for pr in B.basis}
     ncore = 3 * J.dim
 
     def t_index(x: int, a: int) -> int:
@@ -521,26 +495,22 @@ def tag(J: AlgebraFD, check: str = "auto") -> AlgebraFD:
         p_w = parity[w]
         for x in range(3):
             for c in range(J.dim):
-                entry = {}
-                for r in range(J.dim):
-                    if D[r][c]:
-                        entry[t_index(x, r)] = D[r][c]
+                entry = {t_index(x, r): v for r, v in D.get(c, {}).items()}
                 put(w, t_index(x, c), entry)
                 sgn = -1 if (p_w and J.parity[c]) else 1
                 put(t_index(x, c), w, {k: -sgn * v for k, v in entry.items()})
         for pr2 in B.basis:
             c, d = pr2
+            sgn = -1 if (p_w and J.parity[c]) else 1
             entry = {}
-            for r in range(J.dim):
-                if D[r][c]:
-                    for tgt, cf in B.coords(r, d).items():
-                        key = b_index[tgt]
-                        entry[key] = entry.get(key, F0) + D[r][c] * cf
-                if D[r][d]:
-                    sgn = -1 if (p_w and J.parity[c]) else 1
-                    for tgt, cf in B.coords(c, r).items():
-                        key = b_index[tgt]
-                        entry[key] = entry.get(key, F0) + sgn * D[r][d] * cf
+            for r, v in D.get(c, {}).items():
+                for tgt, cf in B.coords(r, d).items():
+                    key = b_index[tgt]
+                    entry[key] = entry.get(key, F0) + v * cf
+            for r, v in D.get(d, {}).items():
+                for tgt, cf in B.coords(c, r).items():
+                    key = b_index[tgt]
+                    entry[key] = entry.get(key, F0) + sgn * v * cf
             put(b_index[pr], b_index[pr2], entry)
 
     L = AlgebraFD("lie", labels, table, parity=parity, degree=degree,
@@ -695,12 +665,10 @@ def _chain_words(L: AlgebraFD, k: int) -> list:
 
 def _word_key(L: AlgebraFD, word: tuple):
     w = sum(L.sl2_weight[i] for i in word) if L.sl2_weight else 0
-    if L.degree is not None:
-        d = ()  # the empty word sits in degree zero
-        for i in word:
-            d = L.degree[i] if d == () else _deg_add(d, L.degree[i])
-        return (w, d)
-    return (w, None)
+    if L.degree is None:
+        return (w, None)
+    # summed degree tuple; the empty word sits in degree zero, keyed ()
+    return (w, tuple(map(sum, zip(*(L.degree[i] for i in word)))))
 
 
 def _diff_word(L: AlgebraFD, word: tuple) -> dict:
@@ -785,37 +753,29 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
             if acc:
                 raise ValueError("differential does not square to zero; not Lie")
     # block split: the differential preserves sl2 weight and degree
+    blocks = []  # per k: {key: words}
+    for ws in words:
+        by_key = {}
+        for w in ws:
+            by_key.setdefault(_word_key(L, w), []).append(w)
+        blocks.append(by_key)
     ranks = [dict() for _ in range(kmax + 2)]  # per k: {key: rank}
     for k in range(1, kmax + 2):
-        by_key = {}
-        for w in words[k]:
-            by_key.setdefault(_word_key(L, w), []).append(w)
-        targets = {}
-        for w in words[k - 1]:
-            targets.setdefault(_word_key(L, w), []).append(w)
-        for key, ws in by_key.items():
-            tws = targets.get(key, [])
+        for key, ws in blocks[k].items():
+            tws = blocks[k - 1].get(key, [])
             tindex = {tw: t for t, tw in enumerate(tws)}
             red = ExactRowReducer(len(tws))
             for w in ws:
                 img = diffs[k][w]
-                if not img:
-                    continue
-                vec = [F0] * len(tws)
-                for tw, c in img.items():
-                    vec[tindex[tw]] = c
-                red.add(vec)
+                if img:
+                    red.add({tindex[tw]: c for tw, c in img.items()})
             ranks[k][key] = red.rank
     dims, weight_dims, degree_dims = [], [], []
     for k in range(kmax + 1):
-        by_key = {}
-        for w in words[k]:
-            key = _word_key(L, w)
-            by_key[key] = by_key.get(key, 0) + 1
         total = 0
         wdims, ddims = {}, {}
-        for key, cnt in by_key.items():
-            h = cnt - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
+        for key, ws in blocks[k].items():
+            h = len(ws) - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
             if h < 0:
                 raise RuntimeError("negative block dimension; rank bookkeeping bug")
             if not h:

@@ -40,10 +40,6 @@ def node(a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], a, b)
 
 
-def tree_degree(t: tuple) -> int:
-    return t[0]
-
-
 def tree_labels(t: tuple) -> tuple:
     if t[0] == 1:
         return (t[1],)
@@ -106,11 +102,6 @@ def monomial_key(head, factors) -> tuple:
     return (head, factors)
 
 
-def monomial_degree(m: tuple) -> int:
-    head, factors = m
-    return len(head) + sum(len(f) for f in factors)
-
-
 def monomial_to_tree(m: tuple) -> tuple:
     head, factors = m
     t = leaf(head[0]) if len(head) == 1 else node(leaf(head[0]), leaf(head[1]))
@@ -148,16 +139,6 @@ def normal_types(n: int) -> list:
         return out
 
     return comps(n - 2)
-
-
-def type_slots(comp: tuple) -> list:
-    """Slot offsets of each factor; head occupies slots 0 and 1."""
-    offsets = []
-    pos = 2
-    for c in comp:
-        offsets.append(pos)
-        pos += c
-    return offsets
 
 
 def type_swap_perms(comp: tuple, n: int) -> list:
@@ -300,14 +281,6 @@ def straighten_element(element: dict) -> dict:
     return out
 
 
-def expand_monomials_to_trees(element: dict) -> dict:
-    out: dict = {}
-    for m, c in element.items():
-        t = monomial_to_tree(m)
-        out[t] = out.get(t, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
 def jordan_element(t1: tuple, t2: tuple, t3: tuple, t4: tuple) -> dict:
     """The four-slot Jordan identity instanced on trees, straightened.
 
@@ -339,8 +312,3 @@ def jordan_tree_element(t1, t2, t3, t4) -> dict:
     ):
         combo[t] = combo.get(t, 0) + Fraction(coeff)
     return {k: v for k, v in combo.items() if v}
-
-
-def clear_straighten_cache() -> None:
-    straighten_tree.cache_clear()
-    shape_key.cache_clear()

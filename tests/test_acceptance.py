@@ -228,10 +228,13 @@ def test_07_structural_properties():
         rhs = {k: r1.get(k, 0) + r2.get(k, 0) for k in set(r1) | set(r2)}
         assert lhs == {k: v for k, v in rhs.items() if v}
 
-    # single-basis-pair spot check against the library helper
-    assert _d_ab(J, {i: la[i] for i in range(J.dim)}, 0, 1) == commutator(
-        la[0], la[1]
-    )
+    # single-basis-pair spot check against the library helper, whose
+    # sparse columns are laid out densely here
+    d01 = [[0] * J.dim for _ in range(J.dim)]
+    for c, col in _d_ab(J, 0, 1).items():
+        for r, v in col.items():
+            d01[r][c] = v
+    assert d01 == commutator(la[0], la[1])
 
     # lambda-operation is multiplicative over sums
     rnd = random.Random(11)

@@ -188,6 +188,15 @@ def test_cli_operad_prime_gets_its_own_entry(capsys):
     assert json.loads(out)["multiplicity"] == 2
 
 
+@pytest.mark.parametrize("degree, prime", [("4", "2"), ("5", "3")])
+def test_cli_operad_rejects_a_prime_not_above_the_degree(capsys, degree, prime):
+    # without the check both print wrong totals (18 for 11, 60 for 55), exit 0
+    code, out, err = run_cli(capsys, "operad", "--degree", degree, "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceed the degree" in err
+
+
 def test_cli_operad_oracle_agrees(capsys):
     code, out, err = run_cli(capsys, "operad", "--degree", "5", "--json", "--oracle")
     assert code == 0

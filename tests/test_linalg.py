@@ -148,7 +148,7 @@ def test_exact_reducer_matches_gauss(m):
     assert red.rank == gauss_rank_oracle(m)
     # every original row must reduce to zero against the accumulated span
     for row in m:
-        assert not any(red.reduce(row))
+        assert not red.reduce(row)
 
 
 def test_exact_reducer_quotient_coordinates():
@@ -158,7 +158,29 @@ def test_exact_reducer_quotient_coordinates():
     assert red.pivot_columns() == (0, 2)
     rem = red.reduce([Fraction(1), Fraction(5), Fraction(7)])
     # remainder is supported on the non-pivot column only
-    assert rem[0] == 0 and rem[2] == 0 and rem[1] == 3
+    assert rem == {1: 3}
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=50, deadline=None)
+def test_exact_reducer_dense_and_dict_rows_agree(m, data):
+    ncols = len(m[0])
+    probes = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                 max_size=4)
+    )
+
+    def sparse(row):
+        # nonzero entries, inserted from the last column down
+        return {j: x for j, x in reversed(list(enumerate(row))) if x}
+
+    dense, by_dict = ExactRowReducer(ncols), ExactRowReducer(ncols)
+    for row in m:
+        assert dense.add(row) == by_dict.add(sparse(row))
+    assert dense.rank == by_dict.rank
+    assert dense.pivot_columns() == by_dict.pivot_columns()
+    for row in m + probes:
+        assert dense.reduce(row) == by_dict.reduce(sparse(row))
 
 
 def test_unlucky_prime_reported():
