@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, metavar="n")
     p.add_argument("--lambda", dest="shape", metavar="PART", help="one partition, e.g. 3,1")
     p.add_argument("--prime", type=int,
-                   help="use one prime p > n; a single prime is not certified")
+                   help="use one prime n < p < 2^31; a single prime is not certified")
     p.add_argument("--oracle", action="store_true", help="cross-check with the naive span")
     common(p)
     p.set_defaults(fn=cmd_operad)

@@ -1,10 +1,20 @@
 """Exact linear algebra over Q and over word-sized prime fields.
 
 Scalars are python ints and fractions.Fraction; nothing here ever trusts a
-float. Modular matrices are dense numpy integer arrays; rational matrices
-are lists of lists, except in ExactRowReducer, whose rows are sparse dicts.
-The float64 matmul fast path below is exact by a counting argument (all
-intermediate values stay under 2**53), never an approximation.
+float. There are two elimination engines and one oracle:
+
+- RankAccumulator, incremental rank over F_p on dense numpy int64 rows;
+  every modular rank in the package comes from it;
+- ExactRowReducer, incremental reduced echelon form over Q on sparse dict
+  rows, for spaces that need exact quotient coordinates;
+- bareiss_rank, fraction-free rank over Z, the exact oracle for tests.
+
+A modular rank is reported only through certify, which compares the ranks
+of one matrix over several primes. Default primes follow one rule,
+blas_primes(width): the largest primes for which RankAccumulator on that
+many columns stays on its float64 matmul path, which is exact by a
+counting argument (all intermediate values stay under 2**53), never an
+approximation.
 
 Thread-safety: all functions are pure; RankAccumulator instances are not
 shared between threads.
@@ -46,41 +56,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_above(bound: int, count: int) -> tuple[int, ...]:
-    """The first `count` primes strictly greater than `bound`."""
-    out = []
-    n = bound + 1
-    while len(out) < count:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return tuple(out)
+def blas_primes(width: int) -> tuple[int, int]:
+    """The two largest primes whose elimination on `width` columns stays
+    exact in float64 BLAS; the package's only rule for default primes.
 
-
-def blas_primes(ncols: int, count: int = 2) -> tuple[int, ...]:
-    """The largest primes whose elimination stays exact in float64 BLAS.
-
-    Reduction against a stored basis of up to `ncols` rows accumulates dot
-    products bounded by ncols*(p-1)^2, which must stay below 2**53.
+    Reduction against a stored basis of up to `width` rows accumulates dot
+    products bounded by width*(p-1)^2, which must stay below 2**53.
     """
-    bound = math.isqrt(2**53 // max(ncols, 1))
+    bound = math.isqrt(2**53 // max(width, 1))
     if bound < 257:
         raise ValueError("too many columns for a float64-exact prime")
     out = []
     n = bound
-    while len(out) < count and n > 2:
+    while len(out) < 2:
         if is_prime(n):
             out.append(n)
         n -= 1
     return tuple(out)
-
-
-# Default certification pool: word-sized primes above 2**30.
-DEFAULT_PRIMES = primes_above(2**30, 4)
-
-# Primes small enough that elimination can run through float64 BLAS matmuls
-# exactly (rows * (p-1)^2 < 2**53 for row counts into the thousands).
-PRIMES_BLAS = primes_above(2**20 - 600, 4)
 
 
 def _blas_ok(p: int, inner: int) -> bool:
@@ -91,95 +83,6 @@ def frac_mod(c, p: int) -> int:
     """Image of an int or Fraction in Z/p (denominator inverted, not floored)."""
     c = Fraction(c)
     return c.numerator * pow(c.denominator, -1, p) % p
-
-
-def to_mod_array(rows, p: int) -> np.ndarray:
-    """Reduce an int/Fraction matrix (or numpy array) modulo p.
-
-    Fraction entries need denominators coprime to p.
-    """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-        return np.asarray(rows, dtype=np.int64) % p
-    out = np.zeros((len(rows), len(rows[0]) if len(rows) else 0), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, Fraction):
-                den = x.denominator % p
-                if den == 0:
-                    raise ValueError(
-                        "denominator of %s not invertible modulo %d" % (x, p)
-                    )
-                out[i, j] = x.numerator * pow(den, p - 2, p) % p
-            else:
-                out[i, j] = int(x) % p
-    return out
-
-
-def _echelon_mod_p(a: np.ndarray, p: int):
-    """In-place row echelon form mod p; returns (rank, pivot column list)."""
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[r + 1 :, c]
-        mask = col != 0
-        if mask.any():
-            a[r + 1 :][mask] = (
-                a[r + 1 :][mask] - np.outer(col[mask], a[r])
-            ) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of a matrix over F_p."""
-    a = to_mod_array(rows, p)
-    if a.size == 0:
-        return 0
-    if a.shape[0] > 2 * a.shape[1]:
-        acc = RankAccumulator(a.shape[1], p)
-        step = max(1, (1 << 22) // max(1, a.shape[1]))
-        for i in range(0, a.shape[0], step):
-            acc.add(a[i : i + step])
-            if acc.is_full:
-                break
-        return acc.rank
-    rank, _ = _echelon_mod_p(a, p)
-    return rank
-
-
-def nullspace_mod_p(rows, p: int) -> np.ndarray:
-    """Basis of the right nullspace over F_p, one vector per row."""
-    a = to_mod_array(rows, p)
-    if a.size == 0:
-        return np.eye(a.shape[1] if a.ndim == 2 else 0, dtype=np.int64)
-    rank, pivots = _echelon_mod_p(a, p)
-    # back-substitute to reduced echelon form
-    for k in range(rank - 1, -1, -1):
-        c = pivots[k]
-        col = a[:k, c]
-        mask = col != 0
-        if mask.any():
-            a[:k][mask] = (a[:k][mask] - np.outer(col[mask], a[k])) % p
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for k, pc in enumerate(pivots):
-            basis[i, pc] = (-a[k, c]) % p
-    return basis
 
 
 def bareiss_rank(rows) -> int:
@@ -232,24 +135,18 @@ def _gcd(a, b):
     return a
 
 
-def certified_rank(rows, primes=None, exact: bool = False) -> int:
-    """Rank certified by agreement over several primes.
+def certify(ranks: dict) -> int:
+    """The rank of one matrix, given its ranks modulo several primes.
 
     Modular rank never exceeds the rational rank, so disagreement convicts
-    the smaller value; the offending prime is named in the error. With
-    exact=True a fraction-free elimination over Z confirms the result.
+    the smaller values; UnluckyPrimeError names the offending primes.
     """
-    primes = tuple(primes) if primes else DEFAULT_PRIMES[:2]
-    ranks = {p: rank_mod_p(rows, p) for p in primes}
+    if not ranks:
+        raise ValueError("no primes given: a rank needs at least one prime")
     values = set(ranks.values())
     if len(values) > 1:
         raise UnluckyPrimeError(ranks)
-    rank = values.pop() if values else 0
-    if exact:
-        true_rank = bareiss_rank(rows)
-        if true_rank != rank:
-            raise UnluckyPrimeError({**ranks, "exact": true_rank})
-    return rank
+    return values.pop()
 
 
 class RankAccumulator:
@@ -261,6 +158,9 @@ class RankAccumulator:
     """
 
     def __init__(self, ncols: int, p: int):
+        # int64 products of two residues overflow from p = 2**31 on
+        if p >= 2**31:
+            raise ValueError("prime %d is too large: need p < 2^31" % p)
         self.ncols = ncols
         self.p = p
         self._rows = np.zeros((max(16, min(ncols, 1024)), ncols), dtype=np.int64)

@@ -42,8 +42,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import InfeasibleError, UnluckyPrimeError
-from .linalg import ExactRowReducer, RankAccumulator, blas_primes, frac_mod
+from .errors import InfeasibleError
+from .linalg import ExactRowReducer, RankAccumulator, blas_primes, certify, frac_mod
 from .trees import (
     leaf,
     monomial_key,
@@ -256,7 +256,6 @@ def multidegree_dim(delta, primes=None, bound: int = 11, max_parts: int = 3) -> 
         for r in rows
     ]
     if primes is None:
-        # largest primes that keep elimination on the float64 fast path
         primes = blas_primes(len(basis))
     ranks = {}
     for p in primes:
@@ -273,9 +272,7 @@ def multidegree_dim(delta, primes=None, bound: int = 11, max_parts: int = 3) -> 
         if k:
             acc.add(batch[:k])
         ranks[p] = acc.rank
-    if len(set(ranks.values())) != 1:
-        raise UnluckyPrimeError(ranks)
-    return len(basis) - next(iter(ranks.values()))
+    return len(basis) - certify(ranks)
 
 
 class Component:

@@ -29,8 +29,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import InfeasibleError, UnluckyPrimeError
-from .linalg import PRIMES_BLAS, RankAccumulator, frac_mod
+from .errors import InfeasibleError
+from .linalg import RankAccumulator, blas_primes, certify, frac_mod
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
 from .trees import (
@@ -189,13 +189,10 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     """Multiplicity of the shape-lambda irreducible in degree n."""
     if sum(shape) != n:
         raise ValueError("shape %s is not a partition of %d" % (shape, n))
+    width = len(normal_types(n)) * dim_irrep(shape)
     if primes is None:
-        primes = PRIMES_BLAS[:2]
-    ranks = {p: _rank_one_prime(shape, n, p) for p in primes}
-    if len(set(ranks.values())) != 1:
-        raise UnluckyPrimeError(ranks)
-    rank = next(iter(ranks.values()))
-    return len(normal_types(n)) * dim_irrep(shape) - rank
+        primes = blas_primes(width)
+    return width - certify({p: _rank_one_prime(shape, n, p) for p in primes})
 
 
 def jord_module(n: int, primes=None, max_degree: int = 8, workers=None) -> SnModule:
@@ -282,12 +279,10 @@ def naive_dim(n: int, primes=None, bound: int = 6) -> int:
                                       _double_factorial(2 * n - 3)),
             estimate="%d rows" % (jordan_identity_count(n) * factorial(n)),
         )
+    width = len(_tree_basis(n))
     if primes is None:
-        primes = PRIMES_BLAS[:2]
-    ranks = {p: _translate_span(n, p).rank for p in primes}
-    if len(set(ranks.values())) != 1:
-        raise UnluckyPrimeError(ranks)
-    return len(_tree_basis(n)) - next(iter(ranks.values()))
+        primes = blas_primes(width)
+    return width - certify({p: _translate_span(n, p).rank for p in primes})
 
 
 def _double_factorial(k: int) -> int:
@@ -322,7 +317,7 @@ def naive_module(n: int, primes=None, bound: int = 6) -> SnModule:
     if n > bound:
         raise InfeasibleError("degree %d tree projectors are too large" % n)
     if primes is None:
-        primes = PRIMES_BLAS[:2]
+        primes = blas_primes(len(_tree_basis(n)))
     shapes = partitions(n)
     ambient = {}
     for shape in shapes:
@@ -330,7 +325,11 @@ def naive_module(n: int, primes=None, bound: int = 6) -> SnModule:
             Fraction(character(shape, mu) * tree_space_character(n, mu), zee(mu))
             for mu in partitions(n)
         )
-        assert tot.denominator == 1
+        if tot.denominator != 1:
+            raise ArithmeticError(
+                "multiplicity of %s in the tree space is %s, not an integer"
+                % (shape, tot)
+            )
         ambient[shape] = int(tot)
     sub_ranks: dict = {shape: {} for shape in shapes}
     for p in primes:
@@ -352,11 +351,13 @@ def naive_module(n: int, primes=None, bound: int = 6) -> SnModule:
             sub_ranks[shape][p] = sub.rank
     mults = {}
     for shape in shapes:
-        ranks = sub_ranks[shape]
-        if len(set(ranks.values())) != 1:
-            raise UnluckyPrimeError(ranks)
-        sub_mult, rem = divmod(next(iter(ranks.values())), dim_irrep(shape))
-        assert rem == 0
+        rank = certify(sub_ranks[shape])
+        sub_mult, rem = divmod(rank, dim_irrep(shape))
+        if rem:
+            raise ArithmeticError(
+                "isotypic rank %d for %s is not a multiple of its dimension %d"
+                % (rank, shape, dim_irrep(shape))
+            )
         value = ambient[shape] - sub_mult
         if value:
             mults[shape] = value

@@ -21,12 +21,12 @@ rank per degree.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
-from .errors import InfeasibleError, UnluckyPrimeError
-from .linalg import PRIMES_BLAS, RankAccumulator
+from .errors import InfeasibleError
+from .linalg import RankAccumulator, blas_primes, certify
 
 
 def reversal(w: tuple) -> tuple:
@@ -222,19 +222,14 @@ def jordan_span_dim(n: int, primes=None, bound: int = 14) -> int:
             estimate="2^%d columns, rank target %d" % (n, reversible_dim(n)),
         )
     if primes is None:
-        primes = PRIMES_BLAS[:2]
-    totals = {p: 0 for p in primes}
-    for ones in range(n + 1):
-        if ones > n - ones:
-            break
-        ranks = _block_ranks(n, ones, primes)
+        # the widest content block has n//2 second letters
+        primes = blas_primes(comb(n, n // 2))
+    total = 0
+    for ones in range(n // 2 + 1):
         # swapping the two letters matches the block with its mirror
         weight = 1 if 2 * ones == n else 2
-        for p in primes:
-            totals[p] += weight * ranks[p]
-    if len(set(totals.values())) != 1:
-        raise UnluckyPrimeError(totals)
-    return next(iter(totals.values()))
+        total += weight * certify(_block_ranks(n, ones, primes))
+    return total
 
 
 @cache

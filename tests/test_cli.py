@@ -197,6 +197,15 @@ def test_cli_operad_rejects_a_prime_not_above_the_degree(capsys, degree, prime):
     assert err.startswith("error:") and "exceed the degree" in err
 
 
+@pytest.mark.parametrize("prime", ["4294967311", "2305843009213693951"])
+def test_cli_operad_refuses_a_prime_from_2_31(capsys, prime):
+    # int64 overflow used to print a total of 4 instead of 55, exit 0
+    code, out, err = run_cli(capsys, "operad", "--degree", "5", "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2^31" in err
+
+
 def test_cli_operad_oracle_agrees(capsys):
     code, out, err = run_cli(capsys, "operad", "--degree", "5", "--json", "--oracle")
     assert code == 0

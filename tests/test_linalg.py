@@ -6,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from freejordan.errors import UnluckyPrimeError
 from freejordan.linalg import (
-    DEFAULT_PRIMES,
-    PRIMES_BLAS,
     ExactRowReducer,
     RankAccumulator,
+    _blas_ok,
     bareiss_rank,
-    certified_rank,
+    blas_primes,
+    certify,
+    frac_mod,
     is_prime,
-    nullspace_mod_p,
-    primes_above,
-    rank_mod_p,
 )
+
+# 31-bit primes: RankAccumulator never takes its float64 path with these
+P31 = (2147483647, 2147483629)
 
 
 def gauss_rank_oracle(rows):
@@ -38,6 +39,15 @@ def gauss_rank_oracle(rows):
     return rank
 
 
+def acc_rank(m, p, batch=2):
+    # rank over F_p, with the rows fed to one accumulator a batch at a time
+    m = np.asarray(m, dtype=np.int64)
+    acc = RankAccumulator(m.shape[1], p)
+    for i in range(0, m.shape[0], batch):
+        acc.add(m[i : i + batch])
+    return acc.rank
+
+
 small_matrices = st.integers(1, 5).flatmap(
     lambda nc: st.lists(
         st.lists(st.integers(-30, 30), min_size=nc, max_size=nc),
@@ -48,31 +58,52 @@ small_matrices = st.integers(1, 5).flatmap(
 
 
 def test_prime_pools():
-    assert all(is_prime(p) and p > 2**30 for p in DEFAULT_PRIMES)
-    assert all(is_prime(p) for p in PRIMES_BLAS)
-    assert primes_above(10, 3) == (11, 13, 17)
     assert not is_prime(1) and not is_prime(561) and is_prime(2**31 - 1)
+    assert all(is_prime(p) for p in P31)
+    # widths from one column to jord_module(10)'s widest block
+    for width in (1, 832, 8192, 9520, 26112):
+        primes = blas_primes(width)
+        assert len(set(primes)) == 2
+        assert all(is_prime(p) and _blas_ok(p, width) for p in primes)
+
+
+def test_accumulator_refuses_primes_from_2_31():
+    # int64 products of residues would overflow and give wrong ranks
+    assert RankAccumulator(2, 2**31 - 1).add(np.array([[1, 2]])) == 1
+    with pytest.raises(ValueError, match="2\\^31"):
+        RankAccumulator(2, 4294967311)
+
+
+def test_certify_agrees_disagrees_and_rejects_empty():
+    assert certify({101: 3, 103: 3}) == 3
+    assert certify({101: 0}) == 0
+    with pytest.raises(UnluckyPrimeError) as ei:
+        certify({101: 3, 103: 2, 107: 3})
+    assert ei.value.outliers == [103]
+    with pytest.raises(ValueError, match="no primes"):
+        certify({})
 
 
 def test_rank_known_row_multiple():
     m = [[1, 2, 3, 4], [2, 4, 6, 8]]
-    assert rank_mod_p(m, 101) == 1
+    assert acc_rank(m, 101) == 1
 
 
 def test_rank_hilbert_exact():
     h = [[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]
-    assert certified_rank(h, primes=(101, 32003), exact=True) == 3
+    assert bareiss_rank(h) == 3
 
 
 def test_rank_denominator_collision():
     with pytest.raises(ValueError):
-        rank_mod_p([[Fraction(1, 101)]], 101)
+        frac_mod(Fraction(1, 101), 101)
 
 
 @given(small_matrices)
 @settings(max_examples=80, deadline=None)
 def test_certified_matches_gauss(m):
-    assert certified_rank(m, exact=True) == gauss_rank_oracle(m)
+    ranks = {p: acc_rank(m, p) for p in P31}
+    assert certify(ranks) == gauss_rank_oracle(m)
 
 
 @given(small_matrices)
@@ -84,39 +115,26 @@ def test_bareiss_matches_gauss(m):
 @given(small_matrices, st.randoms())
 @settings(max_examples=40, deadline=None)
 def test_rank_invariances(m, rnd):
-    p = DEFAULT_PRIMES[0]
-    r = rank_mod_p(m, p)
+    p = P31[0]
+    r = acc_rank(m, p)
+    assert r == gauss_rank_oracle(m)
     shuffled = list(m)
     rnd.shuffle(shuffled)
-    assert rank_mod_p(shuffled, p) == r
-    assert rank_mod_p(np.array(m).T, p) == r
-    assert rank_mod_p([[3 * x for x in row] for row in m], p) == r
-
-
-@given(small_matrices)
-@settings(max_examples=60, deadline=None)
-def test_nullspace(m):
-    p = DEFAULT_PRIMES[1]
-    a = np.array(m, dtype=np.int64) % p
-    basis = nullspace_mod_p(m, p)
-    assert basis.shape[0] + rank_mod_p(m, p) == a.shape[1]
-    if basis.size:
-        assert not ((a @ basis.T) % p).any()
+    assert acc_rank(shuffled, p) == r
+    assert acc_rank(np.array(m).T, p) == r
+    assert acc_rank([[3 * x for x in row] for row in m], p) == r
 
 
 @given(small_matrices, st.sampled_from([0, 1]))
 @settings(max_examples=40, deadline=None)
 def test_accumulator_both_paths(m, which):
     # exercise the BLAS-eligible prime and a 31-bit prime
-    p = (PRIMES_BLAS + DEFAULT_PRIMES)[which * len(PRIMES_BLAS)]
-    acc = RankAccumulator(len(m[0]), p)
-    for i in range(0, len(m), 2):
-        acc.add(np.array(m[i : i + 2]))
-    assert acc.rank == rank_mod_p(m, p)
+    p = (blas_primes(len(m[0]))[0], P31[0])[which]
+    assert acc_rank(m, p) == gauss_rank_oracle(m)
 
 
 def test_accumulator_full_stop_and_reduce():
-    p = PRIMES_BLAS[0]
+    p = blas_primes(3)[0]
     acc = RankAccumulator(3, p)
     acc.add(np.eye(3, dtype=np.int64))
     assert acc.is_full
@@ -128,7 +146,7 @@ def test_accumulator_full_stop_and_reduce():
 
 
 def test_accumulator_basis_is_rref():
-    p = PRIMES_BLAS[0]
+    p = blas_primes(3)[0]
     acc = RankAccumulator(3, p)
     acc.add(np.array([[2, 2, 0], [0, 0, 3], [4, 4, 3]]))
     b = acc.basis()
@@ -187,7 +205,7 @@ def test_unlucky_prime_reported():
     # rank over Q is 1, but modulo 11 the matrix vanishes
     m = [[11, 22]]
     with pytest.raises(UnluckyPrimeError) as ei:
-        certified_rank(m, primes=(11, 101))
+        certify({p: acc_rank(m, p) for p in (11, 101)})
     assert ei.value.outliers == [11]
 
 
@@ -195,5 +213,4 @@ def test_tall_matrix_streaming_path():
     rng = np.random.default_rng(0)
     m = rng.integers(0, 50, size=(400, 7))
     m[:, 3] = m[:, 0] + m[:, 1]
-    p = DEFAULT_PRIMES[0]
-    assert rank_mod_p(m, p) == gauss_rank_oracle(m.tolist())
+    assert acc_rank(m, P31[0], batch=64) == gauss_rank_oracle(m.tolist())

@@ -6,7 +6,7 @@ import pytest
 
 from freejordan import tables
 from freejordan.errors import InfeasibleError
-from freejordan.linalg import DEFAULT_PRIMES, PRIMES_BLAS
+from freejordan.linalg import blas_primes
 from freejordan.operad import (
     _translate_span,
     _tree_basis,
@@ -88,9 +88,9 @@ def test_tree_consequences_vanish_on_symmetric_matrices():
 
 def test_straightening_stays_in_relation_span():
     # t - straighten(t) must be an honest consequence, for every tree
-    p = PRIMES_BLAS[0]
     for n in (4, 5):
         basis = _tree_basis(n)
+        p = blas_primes(len(basis))[0]
         span = _translate_span(n, p)
         rows = []
         for t in basis:
@@ -108,9 +108,9 @@ def test_straightening_stays_in_relation_span():
 
 
 def test_six_leaf_blocked_shape_in_relation_span():
-    p = PRIMES_BLAS[1]
     n = 6
     basis = _tree_basis(n)
+    p = blas_primes(len(basis))[1]
     span = _translate_span(n, p)
     rnd = random.Random(9)
     picks = [
@@ -138,7 +138,7 @@ def test_naive_dims():
 
 
 def test_naive_dim_other_primes_agree():
-    assert naive_dim(5, primes=DEFAULT_PRIMES[:2]) == 55
+    assert naive_dim(5, primes=(2147483647, 2147483629)) == 55
 
 
 def test_naive_dim_infeasible():
@@ -189,8 +189,23 @@ def test_jord_module_serial_path():
     assert m.mults == tables.JORDAN_MODULE[4]
 
 
+def test_naive_module_integrality_checks_raise(monkeypatch):
+    import freejordan.operad as operad_mod
+
+    with monkeypatch.context() as m:
+        # a trace on the identity class alone gives f_lambda / n! copies
+        m.setattr(operad_mod, "tree_space_character",
+                  lambda n, mu: int(mu == (1,) * n))
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            naive_module(3)
+    with monkeypatch.context() as m:
+        m.setattr(operad_mod, "dim_irrep", lambda shape: 7)
+        with pytest.raises(ArithmeticError, match="not a multiple"):
+            naive_module(4)
+
+
 def test_jord_module_other_primes():
-    m = jord_module(4, primes=DEFAULT_PRIMES[:2])
+    m = jord_module(4, primes=(2147483647, 2147483629))
     assert m.mults == tables.JORDAN_MODULE[4]
 
 

@@ -107,6 +107,11 @@ def test_span_small_examples():
     assert jordan_span_dim(5) == 20
 
 
+def test_span_default_primes_match_31_bit_pair():
+    # float64 path at the default primes, integer loop at the 31-bit pair
+    assert jordan_span_dim(10) == jordan_span_dim(10, primes=(2147483647, 2147483629))
+
+
 @pytest.mark.slow
 def test_span_degree_twelve():
     assert jordan_span_dim(12) == 2080
