@@ -148,13 +148,14 @@ def _consequence_digest(n: int) -> str:
 
 def cmd_operad(args) -> int:
     from .cache import cached
-    from .operad import jordan_identity_count, multiplicity
+    from .operad import check_degree, consequences, multiplicity
     from .partitions import dim_irrep, partitions
     from .trees import normal_types
 
     n = args.degree
     if n < 1:
         raise ValueError("degree must be positive")
+    check_degree(n)
     if args.prime:
         from .linalg import is_prime
 
@@ -174,7 +175,7 @@ def cmd_operad(args) -> int:
         ) or shape[-1] < 1:
             raise ValueError("not a partition of %d: %s" % (n, shape))
     f_n = len(normal_types(n))
-    j_n = jordan_identity_count(n)
+    j_n = len(consequences(n))
     gens_digest = _consequence_digest(n)
     reports = []
     total = 0

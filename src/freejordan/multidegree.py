@@ -28,6 +28,14 @@ is checked against the multilinear decomposition through every small
 content (see the weight-space tests) and against independently published
 values in higher degree.
 
+In the multilinear content (1, ..., 1) `operad.consequences` keeps one
+representative per S_n-orbit.  Straightening commutes with relabelling, and
+fresh instances whose slots have the same degrees and normal types differ by
+a permutation of the labels, so one instance per tuple of (slot degree, slot
+type), on consecutive labels and up to the slot-1/2/4 symmetry, carries the
+orbit.  Every append is likewise a relabelling of a degree-(n-1)
+representative times x_n or a degree-(n-2) one times (x_{n-1} x_n).
+
 Dimensions come from certified modular ranks; the exact Component view
 keeps a rational echelon form instead, so products can be expressed in an
 explicit quotient basis.

@@ -1,11 +1,10 @@
 """Multilinear components of the free Jordan operad by the rank method.
 
-Degree-n relations are generated from the four-slot identity by two moves:
-substituting x_i <- x_i * x_new into a degree-(n-1) relation (n-1 ways) and
-multiplying by the new generator (1 way), giving j_n = n!/24 generators whose
-S_n-translates span the degree-n T-ideal component.  Everything is kept in
-the normal-monomial span; the free cover of that span is one copy of kS_n
-per association type, so a type's monomial space is the quotient by slot
+Degree-n relations are the S_n-orbit form of `multidegree`'s degree-by-degree
+scheme (Hentzel; Bremner-Peresi), which has the spanning argument: 1, 3, 8,
+18, 40, 86, 182 generators for n = 4..10.  Everything is kept in the
+normal-monomial span; the free cover of that span is one copy of kS_n per
+association type, so a type's monomial space is the quotient by slot
 symmetries (head swap, pair swaps, and the head/first-factor block swap).
 
 For an irreducible of shape lambda the relation submodule's multiplicity is
@@ -25,27 +24,26 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from itertools import islice, permutations, product
+from math import factorial, isqrt
 
 import numpy as np
 
 from .errors import InfeasibleError
 from .linalg import RankAccumulator, blas_primes, certify, frac_mod
+from .multidegree import _jordan_row, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
 from .trees import (
     all_trees,
-    jordan_element,
     jordan_tree_element,
     leaf,
     monomial_key,
     monomial_slot_labels,
-    monomial_to_tree,
     monomial_type,
     node,
     normal_types,
     relabel_tree,
-    straighten_element,
     substitute_leaf,
     type_swap_perms,
 )
@@ -68,7 +66,7 @@ def comm_types(n: int) -> tuple:
 
 
 def jordan_identity_count(n: int) -> int:
-    """Size of the generating set used in degree n."""
+    """Number of generators of the tree-level oracle `_tree_consequences`."""
     return 0 if n < 4 else factorial(n) // 24
 
 
@@ -76,38 +74,41 @@ def jordan_identity_count(n: int) -> int:
 def consequences(n: int) -> tuple:
     """Degree-n relation generators in normal form, as {monomial: coeff}.
 
-    Lazy and recursive: each degree-(n-1) generator yields n-1 substituted
-    versions plus one multiplied by the new label.
+    One fresh identity instance per tuple of (slot degree, slot type), on
+    consecutive labels, plus lower generators times x_n or (x_{n-1} x_n):
+    S_n-orbit representatives, as the `multidegree` docstring explains.
     """
     if n < 4:
         return ()
-    if n == 4:
-        elt = jordan_element(leaf(1), leaf(2), leaf(3), leaf(4))
-        return (elt,)
     out = []
-    for lower in consequences(n - 1):
-        for i in range(1, n):
-            acc: dict = {}
-            for m, c in lower.items():
-                t = substitute_leaf(monomial_to_tree(m), i, node(leaf(i), leaf(n)))
-                for key, v in straighten_element({t: Fraction(1)}).items():
-                    w = acc.get(key, 0) + c * v
-                    if w:
-                        acc[key] = w
-                    else:
-                        acc.pop(key, None)
-            out.append(acc)
-        raised = {}
-        for m, c in lower.items():
-            key = monomial_key(m[0], m[1] + ((n,),))
-            raised[key] = c
-        out.append(raised)
+    seen = set()
+    for split in _slot_splits((n,)):
+        degs = [s[0] for s in split]
+        for comps in product(*(normal_types(d) for d in degs)):
+            slots = tuple(zip(degs, comps))
+            # the identity is symmetric in slots 1, 2, 4
+            key = (tuple(sorted(slots[i] for i in (0, 1, 3))), slots[2])
+            if key in seen:
+                continue
+            seen.add(key)
+            labels = iter(range(1, n + 1))  # consumed slot by slot, in order
+            elt = _jordan_row(*(
+                monomial_key(tuple(islice(labels, min(d, 2))),
+                             [tuple(islice(labels, c)) for c in comp])
+                for d, comp in slots
+            ))
+            if elt:
+                out.append(elt)
+    for u in ((n,), (n - 1, n)):
+        for lower in consequences(n - len(u)):
+            out.append({monomial_key(m[0], m[1] + (u,)): c for m, c in lower.items()})
     return tuple(out)
 
 
 @cache
 def _tree_consequences(n: int) -> tuple:
-    """The same generating recursion kept in the raw tree basis."""
+    """The n!/24 lifting recursion (x_i <- x_i * x_n, and times x_n) on raw
+    trees: the naive oracle's generators, independent of straightening."""
     if n < 4:
         return ()
     if n == 4:
@@ -195,14 +196,31 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     return width - certify({p: _rank_one_prime(shape, n, p) for p in primes})
 
 
-def jord_module(n: int, primes=None, max_degree: int = 8, workers=None) -> SnModule:
+MAX_DEGREE = 9
+
+
+def check_degree(n: int, max_degree: int = MAX_DEGREE) -> None:
+    """Refuse degree n above max_degree before any relation or block is built.
+
+    The estimate is the widest shape's f_n * d_lambda columns.  Above degree
+    30 it uses the bound d_lambda <= sqrt(n!), so refusing stays instant.
+    """
+    if n <= max_degree:
+        return
+    f, g = 1, 1  # f_n = len(normal_types(n)) is a Fibonacci number
+    for _ in range(n - 3):
+        f, g = f + g, f
+    d = max(map(dim_irrep, partitions(n))) if n <= 30 else isqrt(factorial(n))
+    raise InfeasibleError(
+        "degree %d is above max_degree %d" % (n, max_degree),
+        estimate="%s%d x %d = %d columns in the widest shape"
+        % ("" if n <= 30 else "at most ", f, d, f * d),
+    )
+
+
+def jord_module(n: int, primes=None, max_degree=MAX_DEGREE, workers=None) -> SnModule:
     """Full degree-n decomposition; distinct shapes run concurrently."""
-    if n > max_degree:
-        raise InfeasibleError(
-            "degree %d blocks have %d generator columns; raise max_degree "
-            "to force the attempt" % (n, jordan_identity_count(n)),
-            estimate="%d x d_lambda columns per shape" % jordan_identity_count(n),
-        )
+    check_degree(n, max_degree)
     shapes = partitions(n)
     if workers is None:
         workers = int(os.environ.get("FREEJORDAN_WORKERS", "4"))
@@ -226,12 +244,10 @@ def _tree_basis(n: int) -> dict:
 @cache
 def _perm_index_arrays(n: int) -> dict:
     """perm -> index array a with a[i] = basis index of the relabeled tree i."""
-    import itertools
-
     basis = _tree_basis(n)
     trees = list(basis)
     out = {}
-    for perm in itertools.permutations(range(1, n + 1)):
+    for perm in permutations(range(1, n + 1)):
         mapping = {i + 1: perm[i] for i in range(n)}
         out[perm] = np.array(
             [basis[relabel_tree(t, mapping)] for t in trees], dtype=np.int64

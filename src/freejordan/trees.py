@@ -273,34 +273,8 @@ def straighten(t: tuple) -> dict:
     return dict(straighten_tree(t))
 
 
-def straighten_element(element: dict) -> dict:
-    """Extend straighten linearly to {tree: coeff} combinations."""
-    out: dict = {}
-    for t, c in element.items():
-        _scaled_into(out, dict(straighten_tree(t)), c)
-    return out
-
-
-def jordan_element(t1: tuple, t2: tuple, t3: tuple, t4: tuple) -> dict:
-    """The four-slot Jordan identity instanced on trees, straightened.
-
-    Vanishes on any Jordan algebra; symmetric in slots 1, 2, 4.
-    """
-    combo = {}
-    for coeff, t in (
-        (1, node(node(node(t1, t2), t3), t4)),
-        (1, node(node(node(t2, t4), t3), t1)),
-        (1, node(node(node(t1, t4), t3), t2)),
-        (-1, node(node(t1, t2), node(t3, t4))),
-        (-1, node(node(t1, t3), node(t2, t4))),
-        (-1, node(node(t1, t4), node(t2, t3))),
-    ):
-        combo[t] = combo.get(t, 0) + coeff
-    return straighten_element({k: Fraction(v) for k, v in combo.items() if v})
-
-
 def jordan_tree_element(t1, t2, t3, t4) -> dict:
-    """Same combination kept at tree level (no straightening)."""
+    """The four-slot Jordan identity on trees, left unstraightened."""
     combo: dict = {}
     for coeff, t in (
         (1, node(node(node(t1, t2), t3), t4)),

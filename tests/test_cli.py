@@ -1,6 +1,7 @@
 """Command line layer, disk cache, and verification suites."""
 
 import json
+import time
 
 import pytest
 
@@ -218,6 +219,17 @@ def test_cli_operad_bad_partition(capsys):
     code, _, err = run_cli(capsys, "operad", "--degree", "4", "--lambda", "2,3")
     assert code == 2
     assert "partition" in err
+
+
+def test_cli_operad_refuses_above_the_degree_bound(capsys):
+    # one shape or all, the bound applies before any generator or block is
+    # built, so the refusal is immediate
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "operad", "--degree", "10", "--lambda", "4,3,2,1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and not out
+    assert "refused" in err
+    assert "34 x 768 = 26112 columns in the widest shape" in err
 
 
 def test_cli_multidegree(capsys):

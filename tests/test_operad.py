@@ -42,11 +42,13 @@ def test_comm_types_counts():
 
 
 def test_generator_counts():
+    assert [len(consequences(n)) for n in range(4, 11)] == [
+        1, 3, 8, 18, 40, 86, 182,
+    ]
     assert [jordan_identity_count(n) for n in range(1, 9)] == [
         0, 0, 0, 1, 5, 30, 210, 1680,
     ]
     for n in (4, 5, 6):
-        assert len(consequences(n)) == jordan_identity_count(n)
         assert len(_tree_consequences(n)) == jordan_identity_count(n)
 
 
@@ -65,7 +67,7 @@ def test_consequences_vanish_on_symmetric_matrices():
     # every generator is an identity of any special Jordan algebra
     rnd = random.Random(31)
     zero = [[Fraction(0)] * 3 for _ in range(3)]
-    for n in (4, 5):
+    for n in (4, 5, 6, 7):
         assign = {i: random_symmetric(rnd) for i in range(1, n + 1)}
         for gen in consequences(n):
             assert eval_monomials(gen, assign) == zero
@@ -172,16 +174,22 @@ def test_jord_module_degree_seven():
     assert m.dimension() == 2345
 
 
-@pytest.mark.slow
 def test_jord_module_degree_eight():
     m = jord_module(8)
     assert m.mults == tables.JORDAN_MODULE[8]
     assert m.dimension() == 19089
 
 
+@pytest.mark.slow
+def test_jord_module_degree_nine():
+    m = jord_module(9, workers=2)
+    assert m.mults == tables.JORDAN_MODULE[9]
+    assert m.dimension() == 175203
+
+
 def test_jord_module_infeasible_by_default():
     with pytest.raises(InfeasibleError):
-        jord_module(9)
+        jord_module(10)
 
 
 def test_jord_module_serial_path():

@@ -5,9 +5,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freejordan.multidegree import _jordan_row
 from freejordan.trees import (
     all_trees,
-    jordan_element,
     leaf,
     monomial_key,
     monomial_slot_labels,
@@ -259,8 +259,12 @@ def test_six_leaf_blocked_shape_reduces():
     assert len(out) > 1
 
 
+def _jordan_row_on_labels(*labels):
+    return _jordan_row(*(((x,), ()) for x in labels))
+
+
 def test_jordan_element_frozen():
-    elt = jordan_element(leaf(1), leaf(2), leaf(3), leaf(4))
+    elt = _jordan_row_on_labels(1, 2, 3, 4)
     assert elt == {
         ((1, 2), ((3,), (4,))): Fraction(1),
         ((2, 4), ((3,), (1,))): Fraction(1),
@@ -273,18 +277,18 @@ def test_jordan_element_frozen():
 
 def test_jordan_element_slot_symmetry():
     # slots 1, 2, 4 of the defining identity commute
-    base = jordan_element(leaf(1), leaf(2), leaf(3), leaf(4))
+    base = _jordan_row_on_labels(1, 2, 3, 4)
     for swapped in (
-        jordan_element(leaf(2), leaf(1), leaf(3), leaf(4)),
-        jordan_element(leaf(4), leaf(2), leaf(3), leaf(1)),
-        jordan_element(leaf(1), leaf(4), leaf(3), leaf(2)),
+        _jordan_row_on_labels(2, 1, 3, 4),
+        _jordan_row_on_labels(4, 2, 3, 1),
+        _jordan_row_on_labels(1, 4, 3, 2),
     ):
         assert swapped == base
 
 
 def test_jordan_element_vanishes_on_symmetric_matrices():
     rnd = random.Random(5)
-    elt = jordan_element(leaf(1), leaf(2), leaf(3), leaf(4))
+    elt = _jordan_row_on_labels(1, 2, 3, 4)
     zero = [[Fraction(0)] * 3 for _ in range(3)]
     for _ in range(4):
         assign = {i: random_symmetric(rnd) for i in range(1, 5)}
