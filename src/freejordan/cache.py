@@ -1,11 +1,11 @@
 """Content-addressed JSON cache for expensive rank results.
 
 Entries are keyed by the operation name, the canonical JSON form of its
-parameters, and the package version; bumping the version orphans every
-old entry.  A corrupt or mismatched file is treated as a miss (with a
-warning) and overwritten by the recomputed value.  Access is a single
-read or an atomic replace per key, so concurrent processes at worst
-recompute the same value.
+parameters, and a sha256 digest of the package's own source files; any
+change to the code orphans every old entry.  A corrupt or mismatched file
+is treated as a miss (with a warning) and overwritten by the recomputed
+value.  Access is a single read or an atomic replace per key, so
+concurrent processes at worst recompute the same value.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
-
-from . import __version__
 
 
 def cache_dir() -> Path:
@@ -27,19 +26,28 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "freejordan"
 
 
+@cache
+def source_digest() -> str:
+    """sha256 over the package's *.py files, read once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _canonical(params: dict) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def _entry_path(operation: str, params: dict) -> Path:
     digest = hashlib.sha256(
-        ("%s\n%s\n%s" % (operation, _canonical(params), __version__)).encode()
+        ("%s\n%s\n%s" % (operation, _canonical(params), source_digest())).encode()
     ).hexdigest()
     return cache_dir() / ("%s-%s.json" % (operation, digest[:24]))
 
 
 def cache_get(operation: str, params: dict):
-    """The stored result, or None on miss, stale version, or corruption."""
+    """The stored result, or None on miss, stale source, or corruption."""
     path = _entry_path(operation, params)
     if not path.exists():
         return None
@@ -49,7 +57,7 @@ def cache_get(operation: str, params: dict):
         if (
             blob["operation"] != operation
             or blob["params"] != _canonical(params)
-            or blob["version"] != __version__
+            or blob["source"] != source_digest()
         ):
             return None
         return blob["result"]
@@ -68,7 +76,7 @@ def cache_put(operation: str, params: dict, result):
     blob = {
         "operation": operation,
         "params": _canonical(params),
-        "version": __version__,
+        "source": source_digest(),
         "result": result,
     }
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -4,12 +4,12 @@ Subcommands map one-to-one onto the library modules: predict-dims and
 predict-modules run the two prediction pipelines, operad and multidegree
 compute actual module structures, two-gen builds the comparison table on
 two generators, tag handles structure-constant files and homology, and
-verify replays the headline checks.  Output is text by default, --json or
---csv where tabular.  Exit codes: 0 success (and every check passing),
-2 usage or input error, or an arithmetic failure (ArithmeticError: ranks
-that disagree across primes, an inexact division in the character solve),
-3 a computation refused as infeasible.  Errors print one line to stderr,
-never a traceback.
+verify replays the headline checks.  Output is text by default or --json;
+predict-dims, operad and two-gen also take --csv.  Exit codes: 0 success
+(and every check passing), 2 usage or input error, or an arithmetic
+failure (ArithmeticError: ranks that disagree across primes, an inexact
+division in the character solve), 3 a computation refused as infeasible.
+Errors print one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -104,12 +104,9 @@ def cmd_predict_dims(args) -> int:
 def cmd_predict_modules(args) -> int:
     from .lambda_ring import km_prediction, schur_decompose
 
-    d = args.d if args.d else args.degree
-    a, b = km_prediction(d, args.degree)
+    a, b = km_prediction(args.degree, args.degree)
     per_degree = {}
     for n in range(1, args.degree + 1):
-        if n > d:
-            break  # degree-n characters need d >= n to be faithful
         am = schur_decompose(a, n)
         bm = schur_decompose(b, n)
         per_degree[n] = {
@@ -118,12 +115,8 @@ def cmd_predict_modules(args) -> int:
             "a_dim": am.dimension(),
             "b_dim": bm.dimension(),
         }
-    data = {"d": d, "N": args.degree, "degrees": per_degree}
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print("wrote %s" % args.json_out)
-    elif args.json:
+    data = {"d": args.degree, "N": args.degree, "degrees": per_degree}
+    if args.json:
         _emit_json(data)
     else:
         for n, entry in per_degree.items():
@@ -131,19 +124,6 @@ def cmd_predict_modules(args) -> int:
             print("  a: %s" % entry["a"])
             print("  b: %s" % entry["b"])
     return 0
-
-
-def _consequence_digest(n: int) -> str:
-    """Stable hash of the degree-n relation generating set."""
-    import hashlib
-
-    from .operad import consequences
-
-    h = hashlib.sha256()
-    for elt in consequences(n):
-        for mono, coeff in sorted(elt.items()):
-            h.update(repr((mono, str(coeff))).encode())
-    return h.hexdigest()[:16]
 
 
 def cmd_operad(args) -> int:
@@ -176,7 +156,6 @@ def cmd_operad(args) -> int:
             raise ValueError("not a partition of %d: %s" % (n, shape))
     f_n = len(normal_types(n))
     j_n = len(consequences(n))
-    gens_digest = _consequence_digest(n)
     reports = []
     total = 0
     for shape in shapes:
@@ -185,7 +164,6 @@ def cmd_operad(args) -> int:
             "n": n,
             "shape": list(shape),
             "primes": sorted(primes) if primes else "default",
-            "gens": gens_digest,
         }
         mult = cached(
             "operad-mult", key, lambda s=shape: multiplicity(s, n, primes)
@@ -340,21 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, csv=False):
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--csv", action="store_true", help="CSV output")
+        if csv:
+            p.add_argument("--csv", action="store_true", help="CSV output")
 
     p = sub.add_parser("predict-dims", help="dimension predictions from the series")
     p.add_argument("--generators", type=int, required=True, metavar="p")
     p.add_argument("--degree", type=int, required=True, metavar="N")
     p.add_argument("--check-oeis-file", metavar="PATH", help="b-file to compare against")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(fn=cmd_predict_dims)
 
     p = sub.add_parser("predict-modules", help="predicted module decompositions")
     p.add_argument("--degree", type=int, required=True, metavar="N")
-    p.add_argument("--d", type=int, default=0, help="character rank (default: N)")
-    p.add_argument("--json-out", metavar="OUT.json", help="write JSON to a file")
     common(p)
     p.set_defaults(fn=cmd_predict_modules)
 
@@ -364,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int,
                    help="use one prime n < p < 2^31; a single prime is not certified")
     p.add_argument("--oracle", action="store_true", help="cross-check with the naive span")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(fn=cmd_operad)
 
     p = sub.add_parser("multidegree", help="one multigraded component dimension")
@@ -376,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=20, metavar="N")
     p.add_argument("--span-bound", type=int, default=12, metavar="B")
     p.add_argument("--no-predictions", action="store_true")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(fn=cmd_two_gen)
 
     p = sub.add_parser("tag", help="Lie algebra from structure constants, and homology")

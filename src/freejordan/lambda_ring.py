@@ -127,9 +127,6 @@ class GradedCharacter:
             (mu, k): c for (mu, k), c in self.terms.items() if sum(mu) == n
         }
 
-    def max_degree(self) -> int:
-        return max((sum(mu) for (mu, _) in self.terms), default=0)
-
 
 def _merge_partitions(mu: tuple, nu: tuple) -> tuple:
     return tuple(sorted(mu + nu, reverse=True))

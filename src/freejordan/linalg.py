@@ -6,7 +6,8 @@ float. There are two elimination engines and one oracle:
 - RankAccumulator, incremental rank over F_p on dense numpy int64 rows;
   every modular rank in the package comes from it;
 - ExactRowReducer, incremental reduced echelon form over Q on sparse dict
-  rows, for spaces that need exact quotient coordinates;
+  rows, for spaces that need exact quotient coordinates; it takes no
+  column count, since a sparse row names its own columns;
 - bareiss_rank, fraction-free rank over Z, the exact oracle for tests.
 
 A modular rank is reported only through certify, which compares the ranks
@@ -287,8 +288,7 @@ class ExactRowReducer:
     spaces where exact quotient coordinates are needed.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.pivot_rows: dict[int, dict[int, Fraction]] = {}
 
     @property

@@ -53,7 +53,6 @@ import numpy as np
 from .errors import InfeasibleError
 from .linalg import ExactRowReducer, RankAccumulator, blas_primes, certify, frac_mod
 from .trees import (
-    leaf,
     monomial_key,
     monomial_to_tree,
     node,
@@ -76,25 +75,6 @@ def _nonzero_subcontents(delta: tuple) -> tuple:
         if sum(s):
             out.append(s)
     return tuple(out)
-
-
-@cache
-def monomials(delta: tuple) -> tuple:
-    """Every canonical product tree with the given generator content."""
-    n = sum(delta)
-    if n == 0:
-        return ()
-    if n == 1:
-        return (leaf(delta.index(1) + 1),)
-    out = set()
-    for s in _nonzero_subcontents(delta):
-        if sum(s) == n:
-            continue
-        rest = tuple(a - b for a, b in zip(delta, s))
-        for a in monomials(s):
-            for b in monomials(rest):
-                out.add(node(a, b))
-    return tuple(sorted(out))
 
 
 def _arrangements(counts: tuple):
@@ -240,8 +220,11 @@ def _span_estimate(delta: tuple) -> int:
     return len(normal_types(n)) * mult
 
 
-def multidegree_dim(delta, primes=None, bound: int = 11, max_parts: int = 3) -> int:
-    """Dimension of the content-delta component of the free Jordan algebra."""
+def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
+    """Dimension of the content-delta component of the free Jordan algebra.
+
+    Refuses total degree above 11.
+    """
     delta = _check_content(delta)
     if sum(1 for x in delta if x) > max_parts:
         raise ValueError(
@@ -249,9 +232,9 @@ def multidegree_dim(delta, primes=None, bound: int = 11, max_parts: int = 3) -> 
             % sum(1 for x in delta if x)
         )
     n = sum(delta)
-    if n > bound:
+    if n > 11:
         raise InfeasibleError(
-            "content %s has total degree %d > bound %d" % (delta, n, bound),
+            "content %s has total degree %d > 11" % (delta, n),
             estimate="up to %d spanning monomials" % _span_estimate(delta),
         )
     basis = normal_monomials(delta)
@@ -311,18 +294,19 @@ class Component:
 
 
 @cache
-def component(delta: tuple, bound: int = 8) -> Component:
-    """Exact quotient model; far smaller bound than the modular path."""
+def component(delta: tuple) -> Component:
+    """Exact quotient model; refuses total degree above 8, a far smaller
+    bound than the modular path's."""
     delta = _check_content(delta)
     n = sum(delta)
-    if n > bound:
+    if n > 8:
         raise InfeasibleError(
-            "exact echelon form refused at total degree %d > bound %d" % (n, bound),
+            "exact echelon form refused at total degree %d > 8" % n,
             estimate="up to %d spanning monomials" % _span_estimate(delta),
         )
     span = normal_monomials(delta)
     index = {m: i for i, m in enumerate(span)}
-    red = ExactRowReducer(len(span))
+    red = ExactRowReducer()
     for r in relation_rows(delta):
         red.add({index[m]: c for m, c in r.items()})
     return Component(delta, span, red)

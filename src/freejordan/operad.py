@@ -20,7 +20,6 @@ f_n * d_lambda - rank, certified modulo two primes.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
@@ -47,22 +46,6 @@ from .trees import (
     substitute_leaf,
     type_swap_perms,
 )
-
-
-@cache
-def comm_types(n: int) -> tuple:
-    """Canonical unlabeled commutative tree shapes with n leaves."""
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if n == 1:
-        return ((1,),)
-    out = set()
-    for k in range(1, n // 2 + 1):
-        for a in comm_types(k):
-            for b in comm_types(n - k):
-                pair = (a, b) if a <= b else (b, a)
-                out.add((n,) + pair)
-    return tuple(sorted(out))
 
 
 def jordan_identity_count(n: int) -> int:
@@ -167,7 +150,7 @@ def _block_columns(shape: tuple, n: int, p: int):
         yield block
 
 
-def _rank_one_prime(shape: tuple, n: int, p: int, batch: int = 24) -> int:
+def _rank_one_prime(shape: tuple, n: int, p: int) -> int:
     d = dim_irrep(shape)
     f = len(normal_types(n))
     acc = RankAccumulator(f * d, p)
@@ -176,7 +159,7 @@ def _rank_one_prime(shape: tuple, n: int, p: int, batch: int = 24) -> int:
     for block in _block_columns(shape, n, p):
         pending.append(block.T)
         width += block.shape[1]
-        if width >= batch * d:
+        if width >= 24 * d:  # feed the accumulator 24 blocks at a time
             acc.add(np.concatenate(pending, axis=0))
             pending, width = [], 0
         if acc.is_full:
@@ -218,12 +201,10 @@ def check_degree(n: int, max_degree: int = MAX_DEGREE) -> None:
     )
 
 
-def jord_module(n: int, primes=None, max_degree=MAX_DEGREE, workers=None) -> SnModule:
+def jord_module(n: int, primes=None, max_degree=MAX_DEGREE, workers=4) -> SnModule:
     """Full degree-n decomposition; distinct shapes run concurrently."""
     check_degree(n, max_degree)
     shapes = partitions(n)
-    if workers is None:
-        workers = int(os.environ.get("FREEJORDAN_WORKERS", "4"))
     consequences(n)  # build shared input once, outside the pool
     if workers > 1 and len(shapes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -282,13 +263,14 @@ def _translate_span(n: int, p: int) -> RankAccumulator:
     return acc
 
 
-def naive_dim(n: int, primes=None, bound: int = 6) -> int:
+def naive_dim(n: int, primes=None) -> int:
     """dim Jord(n) from scratch: rank of all relation translates over all trees.
 
     Independent of straightening and of the representation theory; the
-    costly cross-check the block method is validated against.
+    costly cross-check the block method is validated against.  Refuses
+    degrees above 6.
     """
-    if n > bound:
+    if n > 6:
         raise InfeasibleError(
             "naive rank at degree %d needs %d translate rows over a "
             "%d-dimensional space" % (n, jordan_identity_count(n) * factorial(n),
@@ -323,14 +305,15 @@ def tree_space_character(n: int, mu: tuple) -> int:
                if relabel_tree(t, mapping) == t)
 
 
-def naive_module(n: int, primes=None, bound: int = 6) -> SnModule:
+def naive_module(n: int, primes=None) -> SnModule:
     """Degree-n decomposition via isotypic projectors on the tree basis.
 
     Shares nothing with the Clifton path: ambient multiplicities come from
     fixed-point counts, and relation multiplicities from the rank of each
     isotypic projector applied to a row basis of the full translate span.
+    Refuses degrees above 6.
     """
-    if n > bound:
+    if n > 6:
         raise InfeasibleError("degree %d tree projectors are too large" % n)
     if primes is None:
         primes = blas_primes(len(_tree_basis(n)))

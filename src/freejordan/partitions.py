@@ -160,10 +160,3 @@ class SnModule:
     def is_effective(self) -> bool:
         return all(m >= 0 for m in self.mults.values())
 
-    def pretty(self) -> str:
-        def one(shape, mult):
-            body = ",".join(map(str, shape))
-            return "V_(%s)%s" % (body, "" if mult == 1 else "^%d" % mult)
-
-        items = sorted(self.mults.items())
-        return " + ".join(one(s, m) for s, m in items) if items else "0"

@@ -44,31 +44,6 @@ def lp_residue(f: dict) -> int:
     return f.get(-1, 0)
 
 
-def lp_eval_at_one(f: dict) -> int:
-    return sum(f.values())
-
-
-def lp_format(f: dict) -> str:
-    if not f:
-        return "0"
-    parts = []
-    for e in sorted(f, reverse=True):
-        c = f[e]
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if e == 0:
-            term = str(mag)
-        else:
-            power = "t" if e == 1 else "t^%d" % e
-            term = power if mag == 1 else "%d*%s" % (mag, power)
-        parts.append((sign, term))
-    first_sign, first = parts[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, term in parts[1:]:
-        text += " %s %s" % (sign, term)
-    return text
-
-
 class TruncatedSeries:
     """Element of Z[t,1/t][z]/(z^{N+1}): a list of Laurent coefficients."""
 

@@ -63,7 +63,9 @@ class AlgebraFD:
     products are stored.  parity is a 0/1 bit per basis vector.  degree, if
     present, is one tuple per basis vector and products must add degrees.
     kind is "jordan" (super-commutative) or "lie" (super-anticommutative
-    with super-Jacobi); check() verifies the claimed kind.
+    with super-Jacobi); check() verifies the claimed kind.  Basis indices
+    outside 0..dim-1, and parity or degree lists of another length than
+    dim, raise ValueError.
     """
 
     def __init__(self, kind, labels, table, parity=None, degree=None, sl2_weight=None):
@@ -73,14 +75,28 @@ class AlgebraFD:
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.parity = tuple(parity) if parity else (0,) * self.dim
+        if len(self.parity) != self.dim:
+            raise ValueError(
+                "%d parity bits for %d basis vectors" % (len(self.parity), self.dim)
+            )
         if degree is not None:
             degree = tuple(
                 (d,) if isinstance(d, int) else tuple(d) for d in degree
             )
+            if len(degree) != self.dim:
+                raise ValueError(
+                    "%d degrees for %d basis vectors" % (len(degree), self.dim)
+                )
         self.degree = degree
         self.sl2_weight = tuple(sl2_weight) if sl2_weight else None
         self.table = {}
         for (i, j), prod in table.items():
+            if not (0 <= i < self.dim and 0 <= j < self.dim
+                    and all(0 <= k < self.dim for k in prod)):
+                raise ValueError(
+                    "product (%d, %d) -> %s names a basis index outside 0..%d"
+                    % (i, j, sorted(prod), self.dim - 1)
+                )
             entry = {k: Fraction(c) for k, c in prod.items() if c}
             if entry:
                 self.table[(i, j)] = entry
@@ -113,11 +129,12 @@ class AlgebraFD:
                         % (self.labels[i], self.labels[j], self.labels[k], want)
                     )
 
-    def check(self, jacobi: str = "full", seed: int = 0) -> None:
+    def check(self, jacobi: str = "full") -> None:
         """Verify the structure the kind claims; raises ValueError.
 
-        jacobi: "full" tests every basis triple, "sample" tests 500 seeded
-        random triples (for large algebras), "skip" leaves it out.
+        For the lie kind, jacobi="full" tests every basis triple and
+        "sample" tests 500 random triples drawn with seed 0 (for large
+        algebras).
         """
         if self.degree is not None:
             self._check_degrees()
@@ -132,12 +149,12 @@ class AlgebraFD:
                         "products of %s, %s break the %s symmetry"
                         % (self.labels[i], self.labels[j], self.kind)
                     )
-        if self.kind != "lie" or jacobi == "skip":
+        if self.kind != "lie":
             return
         if jacobi == "full":
             triples = itertools.combinations_with_replacement(range(self.dim), 3)
         else:
-            rnd = random.Random(seed)
+            rnd = random.Random(0)
             triples = (
                 tuple(rnd.randrange(self.dim) for _ in range(3)) for _ in range(500)
             )
@@ -172,8 +189,17 @@ class AlgebraFD:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraFD":
+        if not isinstance(data, dict):
+            raise ValueError("structure constants must be a JSON object")
+        for key in ("table", "labels", "parity", "degree"):
+            if not isinstance(data.get(key, []), list):
+                raise ValueError("%s is not a list" % key)
         table = {}
         for row in data["table"]:
+            if not _is_table_row(row):
+                raise ValueError(
+                    "table row %s is not [i, j, [k, num, den], ...]" % (row,)
+                )
             i, j = row[0], row[1]
             table[(i, j)] = {k: Fraction(num, den) for k, num, den in row[2:]}
         return cls(
@@ -183,6 +209,16 @@ class AlgebraFD:
             parity=data.get("parity"),
             degree=data.get("degree"),
         )
+
+
+def _is_table_row(row) -> bool:
+    """[i, j, [k, num, den], ...] with integer entries."""
+    if not (isinstance(row, list) and len(row) >= 2):
+        return False
+    terms = row[2:]
+    return all(isinstance(t, list) and len(t) == 3 for t in terms) and all(
+        isinstance(x, int) for x in itertools.chain(row[:2], *terms)
+    )
 
 
 def scalar_jordan() -> AlgebraFD:
@@ -276,12 +312,13 @@ def _is_derivation(J: AlgebraFD, D: dict, p_d: int) -> bool:
     return True
 
 
-def inner_derivations(J: AlgebraFD, verify_limit: int = 12) -> DerivationSpace:
+def inner_derivations(J: AlgebraFD) -> DerivationSpace:
     """Span of the operators [L_a, L_b] over basis pairs of J.
 
     The Jordan axiom is probed through the operators [L_a, L_{a a}] for
     basis a, which must vanish; each generator is checked to be a
-    derivation (exhaustively up to verify_limit, on a seeded sample above).
+    derivation: every generator when dim J <= 12, a seeded tenth of them
+    above.
     """
     if J.kind != "jordan":
         raise ValueError("inner derivations ask for a jordan-kind algebra")
@@ -299,14 +336,14 @@ def inner_derivations(J: AlgebraFD, verify_limit: int = 12) -> DerivationSpace:
              if i < j or J.parity[i]]
     gens = []
     kept_pairs = []
-    red = ExactRowReducer(J.dim * J.dim)
+    red = ExactRowReducer()
     rnd = random.Random(7)
     for i, j in pairs:
         D = _d_ab(J, i, j)
         if not D:
             continue
         p_d = (J.parity[i] + J.parity[j]) % 2
-        if J.dim <= verify_limit or rnd.random() < 0.1:
+        if J.dim <= 12 or rnd.random() < 0.1:
             if not _is_derivation(J, D, p_d):
                 raise ValueError(
                     "[L_%s, L_%s] is not a derivation" % (J.labels[i], J.labels[j])
@@ -339,7 +376,7 @@ class BSpace:
         self._blocks = {}
         for key, block_pairs in blocks.items():
             index = {pr: t for t, pr in enumerate(block_pairs)}
-            red = ExactRowReducer(len(block_pairs))
+            red = ExactRowReducer()
             self._blocks[key] = (block_pairs, index, red)
         for a in range(J.dim):
             for b in range(J.dim):
@@ -434,13 +471,14 @@ _SL2_LABELS = ("e", "h", "f")
 _SL2_WEIGHT = (2, 0, -2)
 
 
-def tag(J: AlgebraFD, check: str = "auto") -> AlgebraFD:
+def tag(J: AlgebraFD) -> AlgebraFD:
     """The Lie (super)algebra sl2 (x) J  (+)  B(J).
 
-    check: "auto" verifies super-Jacobi on all basis triples for small
-    results and on a seeded sample otherwise; "full"/"sample"/"skip" force
-    the policy.  A Jacobi failure raises, since the bracket formulas are
-    a theorem once J is Jordan.
+    The result's super-Jacobi identity is verified on every basis triple
+    when it has at most 40 basis vectors, and on a seeded sample of triples
+    otherwise; call check(jacobi="full") on a larger result to test every
+    triple.  A Jacobi failure raises, since the bracket formulas are a
+    theorem once J is Jordan.
     """
     if J.kind != "jordan":
         raise ValueError("tag asks for a jordan-kind algebra")
@@ -515,14 +553,10 @@ def tag(J: AlgebraFD, check: str = "auto") -> AlgebraFD:
 
     L = AlgebraFD("lie", labels, table, parity=parity, degree=degree,
                   sl2_weight=weight)
-    if check != "skip":
-        mode = check
-        if check == "auto":
-            mode = "full" if L.dim <= 40 else "sample"
-        try:
-            L.check(jacobi=mode)
-        except ValueError as err:
-            raise RuntimeError("tag construction is inconsistent: %s" % err)
+    try:
+        L.check(jacobi="full" if L.dim <= 40 else "sample")
+    except ValueError as err:
+        raise RuntimeError("tag construction is inconsistent: %s" % err)
     return L
 
 
@@ -764,7 +798,7 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
         for key, ws in blocks[k].items():
             tws = blocks[k - 1].get(key, [])
             tindex = {tw: t for t, tw in enumerate(tws)}
-            red = ExactRowReducer(len(tws))
+            red = ExactRowReducer()
             for w in ws:
                 img = diffs[k][w]
                 if img:

@@ -29,20 +29,6 @@ from .errors import InfeasibleError
 from .linalg import RankAccumulator, blas_primes, certify
 
 
-def reversal(w: tuple) -> tuple:
-    """Reverse a word given as a tuple of generator indices."""
-    return tuple(reversed(w))
-
-
-def word_to_mask(w: tuple) -> int:
-    m = 0
-    for letter in w:
-        if letter not in (1, 2):
-            raise ValueError("alphabet is {1, 2}")
-        m = (m << 1) | (letter - 1)
-    return m
-
-
 def mask_to_word(mask: int, n: int) -> tuple:
     return tuple(((mask >> (n - 1 - i)) & 1) + 1 for i in range(n))
 
@@ -212,11 +198,12 @@ def _block_ranks(n: int, ones: int, primes) -> dict:
     return {p: acc.rank for p, acc in accs.items()}
 
 
-def jordan_span_dim(n: int, primes=None, bound: int = 14) -> int:
-    """Rank of the span of straightened Jordan monomials in degree n."""
+def jordan_span_dim(n: int, primes=None) -> int:
+    """Rank of the span of straightened Jordan monomials in degree n;
+    refuses degrees above 14."""
     if n < 1:
         raise ValueError("degree must be positive")
-    if n > bound:
+    if n > 14:
         raise InfeasibleError(
             "degree %d Jordan span needs a %d-column expansion matrix" % (n, 2 ** n),
             estimate="2^%d columns, rank target %d" % (n, reversible_dim(n)),

@@ -9,6 +9,7 @@ user-facing way to reproduce the headline numbers on their own machine.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -155,6 +156,7 @@ def suite_tables(max_degree: int = 6) -> VerificationReport:
     from .lambda_ring import km_prediction, schur_decompose
     from .operad import jord_module
 
+    jord_module = functools.cache(jord_module)  # two checks per degree, one build
     max_degree = min(max_degree, 8)
     rep = VerificationReport("tables")
     a, _b = km_prediction(max_degree, max_degree)

@@ -165,8 +165,9 @@ def test_07_structural_properties():
     from freejordan.tkk import _d_ab, tag, truncated_free_jordan
 
     # Jacobi holds for the whole bracket table of the degree-5 truncation
-    # on two generators; tag() verifies it exhaustively before returning.
-    L = tag(truncated_free_jordan(2, 5), check="full")
+    # on two generators, checked on every basis triple.
+    L = tag(truncated_free_jordan(2, 5))
+    L.check(jacobi="full")
     assert L.dim == 171
 
     # Operator identities for D = [L_a, L_b] on random triples: the swap

@@ -11,7 +11,7 @@ from freejordan.cache import cache_get, cache_put, cached
 from freejordan.cli import main
 from freejordan.errors import UnluckyPrimeError
 from freejordan.tables import TWO_GEN_B_DIMS, TWO_GEN_DIMS
-from freejordan.verify import VerificationReport, _check, run_suites
+from freejordan.verify import VerificationReport, _check, run_suites, suite_tables
 
 
 @pytest.fixture(autouse=True)
@@ -42,9 +42,9 @@ def test_cached_computes_once():
     assert len(calls) == 1
 
 
-def test_cache_version_bump_is_a_miss(monkeypatch):
+def test_cache_source_change_is_a_miss(monkeypatch):
     cache_put("op", {"n": 1}, "old")
-    monkeypatch.setattr(cache_mod, "__version__", "999.0.0")
+    monkeypatch.setattr(cache_mod, "source_digest", lambda: "edited source")
     assert cache_get("op", {"n": 1}) is None
 
 
@@ -95,6 +95,21 @@ def test_verify_check_catches_exceptions():
     assert "FAIL" in report.format_text()
 
 
+def test_verify_tables_builds_each_module_once(monkeypatch):
+    import freejordan.operad as operad_mod
+
+    calls = []
+    real = operad_mod.jord_module
+
+    def counting(n, *a, **k):
+        calls.append(n)
+        return real(n, *a, **k)
+
+    monkeypatch.setattr(operad_mod, "jord_module", counting)
+    assert suite_tables(4).passed
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["no-such-suite"])
@@ -143,13 +158,21 @@ def test_cli_predict_dims_reference_file(capsys, tmp_path):
 def test_cli_predict_modules(capsys):
     code, out, _ = run_cli(capsys, "predict-modules", "--degree", "4", "--json")
     assert code == 0
-    data = json.loads(out)
-    deg3 = data["degrees"]["3"]
-    assert deg3["a"] == {"2,1": 1, "3": 1}
-    assert deg3["b"] == {"2,1": 1}
-    deg4 = data["degrees"]["4"]
-    assert deg4["a"] == {"2,1,1": 1, "2,2": 2, "3,1": 1, "4": 1}
-    assert deg4["a_dim"] == 11
+    assert json.loads(out) == {
+        "d": 4,
+        "N": 4,
+        "degrees": {
+            "1": {"a": {"1": 1}, "b": {}, "a_dim": 1, "b_dim": 0},
+            "2": {"a": {"2": 1}, "b": {"1,1": 1}, "a_dim": 1, "b_dim": 1},
+            "3": {"a": {"2,1": 1, "3": 1}, "b": {"2,1": 1}, "a_dim": 3, "b_dim": 2},
+            "4": {
+                "a": {"2,1,1": 1, "2,2": 2, "3,1": 1, "4": 1},
+                "b": {"2,1,1": 1, "3,1": 2},
+                "a_dim": 11,
+                "b_dim": 9,
+            },
+        },
+    }
 
 
 def test_cli_operad_full_degree(capsys):
@@ -312,6 +335,26 @@ def test_cli_tag_rejects_non_jordan_table(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("labels, parity, table", [
+    (["a"], [0], [[0]]),  # a row without its pair
+    (["a"], [0], 5),  # a table that is not a list
+    (["a"], [0], [[0, 0, [3, 1, 1]]]),  # a product outside the basis
+    (["a", "b"], [0], [[0, 0, [0, 1, 1]]]),  # one parity bit for two vectors
+    (["a"], [0], [[0, 4, [0, 1, 1]]]),  # a pair outside the basis
+])
+def test_cli_tag_rejects_malformed_structure_constants(capsys, tmp_path, labels,
+                                                       parity, table):
+    blob = {"kind": "jordan", "dim": len(labels), "labels": labels,
+            "parity": parity, "table": table}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "tag", "--input", str(path), "--homology", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_verify_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counterexample", "--json")
     assert code == 0
@@ -329,6 +372,18 @@ def test_cli_arithmetic_error_exits_two(capsys, monkeypatch):
     assert err.startswith("error: rank disagreement")
     assert "1048571" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-modules", "--degree", "4"],
+    ["multidegree", "--delta", "2,1"],
+    ["tag", "--input", "J.json"],
+    ["verify", "--suite", "homology"],
+])
+def test_cli_csv_only_where_a_subcommand_writes_it(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--csv"])
+    assert exc.value.code == 2
 
 
 def test_cli_usage_errors():

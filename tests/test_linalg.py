@@ -160,7 +160,7 @@ def test_accumulator_basis_is_rref():
 @given(small_matrices)
 @settings(max_examples=50, deadline=None)
 def test_exact_reducer_matches_gauss(m):
-    red = ExactRowReducer(len(m[0]))
+    red = ExactRowReducer()
     for row in m:
         red.add(row)
     assert red.rank == gauss_rank_oracle(m)
@@ -170,7 +170,7 @@ def test_exact_reducer_matches_gauss(m):
 
 
 def test_exact_reducer_quotient_coordinates():
-    red = ExactRowReducer(3)
+    red = ExactRowReducer()
     red.add([1, 2, 0])
     red.add([0, 0, 3])
     assert red.pivot_columns() == (0, 2)
@@ -192,7 +192,7 @@ def test_exact_reducer_dense_and_dict_rows_agree(m, data):
         # nonzero entries, inserted from the last column down
         return {j: x for j, x in reversed(list(enumerate(row))) if x}
 
-    dense, by_dict = ExactRowReducer(ncols), ExactRowReducer(ncols)
+    dense, by_dict = ExactRowReducer(), ExactRowReducer()
     for row in m:
         assert dense.add(row) == by_dict.add(sparse(row))
     assert dense.rank == by_dict.rank

@@ -7,20 +7,13 @@ from freejordan import tables
 from freejordan.errors import InfeasibleError
 from freejordan.multidegree import (
     component,
-    monomials,
     multidegree_dim,
     normal_monomials,
     relation_rows,
 )
-from freejordan.operad import comm_types, jord_module
+from freejordan.operad import jord_module
 from freejordan.partitions import kostka
 from freejordan.trees import monomial_slot_labels
-
-
-def test_single_generator_monomials_match_shape_counts():
-    # one generator: monomials of degree n = unlabeled shapes
-    for n in range(1, 9):
-        assert len(monomials((n,))) == len(comm_types(n))
 
 
 def test_small_dimensions():

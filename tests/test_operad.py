@@ -11,7 +11,6 @@ from freejordan.operad import (
     _translate_span,
     _tree_basis,
     _tree_consequences,
-    comm_types,
     consequences,
     jord_module,
     jordan_identity_count,
@@ -32,13 +31,6 @@ from freejordan.trees import (
     straighten,
 )
 from test_trees import eval_monomials, eval_tree, random_symmetric, random_tree
-
-
-def test_comm_types_counts():
-    # Wedderburn-Etherington numbers
-    assert [len(comm_types(n)) for n in range(1, 11)] == [
-        1, 1, 1, 2, 3, 6, 11, 23, 46, 98,
-    ]
 
 
 def test_generator_counts():

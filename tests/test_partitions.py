@@ -222,12 +222,11 @@ def test_kostka_content_order_irrelevant():
 # --- modules --------------------------------------------------------------
 
 
-def test_snmodule_dimension_and_pretty():
+def test_snmodule_dimension_and_effectivity():
     m = SnModule(3, {(3,): 1, (2, 1): 2})
     assert m.dimension() == 1 + 2 * 2
     assert m.is_effective()
-    assert m.pretty() == "V_(2,1)^2 + V_(3)"
-    assert SnModule(3, {}).pretty() == "0"
+    assert SnModule(3, {}).dimension() == 0
 
 
 def test_snmodule_drops_zeros_and_validates():

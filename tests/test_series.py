@@ -5,8 +5,6 @@ from freejordan.series import (
     check_sequence,
     conjecture_series,
     factor_power,
-    lp_eval_at_one,
-    lp_format,
     lp_mul,
     lp_residue,
     predict_dims,
@@ -103,18 +101,6 @@ def test_z19_coefficient_pinned_monomials():
     for e, v in Z19_PINNED_MONOMIALS.items():
         assert c19[e] == v
     assert lp_residue(c19) == Z19_RESIDUE
-
-
-def test_specialization_at_one_is_integral():
-    s = conjecture_series(2, TWO_GEN_DIMS[:8], N=8)
-    for n in range(9):
-        assert isinstance(lp_eval_at_one(s.coefficient(n)), int)
-
-
-def test_format_readable():
-    assert lp_format({9: -1218, -1: 2}) == "-1218*t^9 + 2*t^-1"
-    assert lp_format({}) == "0"
-    assert lp_format({1: 1, 0: -3}) == "t - 3"
 
 
 @given(st.integers(1, 3), st.integers(1, 10))

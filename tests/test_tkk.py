@@ -227,13 +227,15 @@ def test_tag_of_odd_line_is_a_heisenberg_superalgebra():
 
 
 def test_tag_jacobi_holds_on_degree_three_truncation():
-    L = tag(truncated_free_jordan(2, 3), check="full")
+    L = tag(truncated_free_jordan(2, 3))
+    L.check(jacobi="full")
     assert L.dim == 3 * 11 + 9
 
 
 @pytest.mark.slow
 def test_tag_jacobi_holds_on_degree_five_truncation():
-    L = tag(truncated_free_jordan(2, 5), check="full")
+    L = tag(truncated_free_jordan(2, 5))
+    L.check(jacobi="full")
     assert L.dim == 171
 
 
