@@ -10,10 +10,15 @@ float. There are two elimination engines and one oracle:
   column count, since a sparse row names its own columns;
 - bareiss_rank, fraction-free rank over Z, the exact oracle for tests.
 
+All modular elimination is one kernel, _eliminate: one float64 matmul
+where that is exact, a loop over the pivots where it is not.  The batch
+echelon _rref recurses on halves and does every update between rows
+through it (the shape of FFLAS-FFPACK's PLUQ, Dumas-Giorgi-Pernet 2008).
+
 A modular rank is reported only through certify, which compares the ranks
 of one matrix over several primes. Default primes follow one rule,
-blas_primes(width): the largest primes for which RankAccumulator on that
-many columns stays on its float64 matmul path, which is exact by a
+blas_primes(width): the largest primes for which the kernel on that many
+columns stays on its float64 matmul path, which is exact by a
 counting argument (all intermediate values stay under 2**53), never an
 approximation.
 
@@ -150,12 +155,58 @@ def certify(ranks: dict) -> int:
     return values.pop()
 
 
+def _eliminate(T: np.ndarray, B: np.ndarray, piv, p: int) -> np.ndarray:
+    """Clear columns `piv` of T, in place, against the rows B; returns T.
+
+    B must be in reduced echelon form on those columns: B[k] is 1 at
+    piv[k] and 0 at every other column of piv, so each row of T loses
+    T[:, piv] @ B.  Entries of T and B are residues in [0, p).
+    """
+    if not len(piv):
+        return T
+    if _blas_ok(p, len(piv)):
+        # exact: dot products are integers below len(piv)*(p-1)^2 < 2**53
+        prod = T[:, piv].astype(np.float64) @ B.astype(np.float64)
+        np.rint(prod, out=prod)
+        np.subtract(T, prod, out=prod)
+        T[...] = prod
+        np.remainder(T, p, out=T)
+    else:
+        # B[k] is 0 at the other pivot columns, so subtracting it leaves
+        # them alone and the pivots can be cleared one at a time
+        for k, c in enumerate(piv):
+            col = T[:, c]
+            mask = col != 0
+            if mask.any():
+                T[mask] = (T[mask] - np.outer(col[mask], B[k])) % p
+    return T
+
+
+def _rref(block: np.ndarray, p: int):
+    """(rows, pivots): the reduced echelon form of `block` over F_p, up to
+    row order, rows[k] with its leading 1 at pivots[k]."""
+    block = block[block.any(axis=1)]
+    if len(block) <= 1:
+        if not len(block):
+            return block, []
+        c = int(np.flatnonzero(block[0])[0])
+        return block * pow(int(block[0, c]), -1, p) % p, [c]
+    h = len(block) // 2
+    top, tpiv = _rref(block[:h], p)
+    bottom, bpiv = _rref(_eliminate(block[h:], top, tpiv, p), p)
+    _eliminate(top, bottom, bpiv, p)
+    return np.concatenate([top, bottom]), tpiv + bpiv
+
+
 class RankAccumulator:
     """Incremental rank of a growing set of vectors over F_p.
 
-    Holds a reduced echelon basis of the span; add() reduces incoming
-    vectors against it and absorbs whatever is new. Once the rank reaches
-    the ambient dimension further adds are no-ops (is_full).
+    Holds a reduced echelon basis of the span: row k has its leading 1 at
+    its pivot column, where every other row is 0.  add() clears the stored
+    pivot columns of the batch (_eliminate), takes the reduced echelon
+    form of what is left (_rref), clears the fresh pivot columns of the
+    stored basis and appends the fresh rows.  Once the rank reaches the
+    ambient dimension further adds are no-ops (is_full).
     """
 
     def __init__(self, ncols: int, p: int):
@@ -164,112 +215,36 @@ class RankAccumulator:
             raise ValueError("prime %d is too large: need p < 2^31" % p)
         self.ncols = ncols
         self.p = p
-        self._rows = np.zeros((max(16, min(ncols, 1024)), ncols), dtype=np.int64)
+        self._rows = np.zeros((0, ncols), dtype=np.int64)
         self._pivcols = []
-        self.rank = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivcols)
 
     @property
     def is_full(self) -> bool:
         return self.rank >= self.ncols
 
-    def _grow(self, need):
-        if need <= self._rows.shape[0]:
-            return
-        cap = self._rows.shape[0]
-        while cap < need:
-            cap = min(max(cap * 2, need), self.ncols)
-        bigger = np.zeros((cap, self.ncols), dtype=np.int64)
-        bigger[: self.rank] = self._rows[: self.rank]
-        self._rows = bigger
-
-    def _reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Zero out all pivot columns of `block` against the stored basis."""
-        p = self.p
-        E = self._rows[: self.rank]
-        piv = np.asarray(self._pivcols, dtype=np.intp)
-        if _blas_ok(p, self.rank):
-            coef = block[:, piv].astype(np.float64)
-            prod = coef @ E.astype(np.float64)
-            block = (block - np.rint(prod).astype(np.int64) % p) % p
-        else:
-            for k in range(self.rank):
-                col = block[:, self._pivcols[k]]
-                mask = col != 0
-                if mask.any():
-                    block[mask] = (block[mask] - np.outer(col[mask], E[k])) % p
-        return block
-
     def add(self, vectors) -> int:
         """Absorb vectors (2d array, one vector per row); returns the rank."""
         if self.is_full:
             return self.rank
-        p = self.p
-        block = np.array(vectors, dtype=np.int64, copy=True) % p
-        if block.ndim == 1:
-            block = block[None, :]
-        if self.rank:
-            block = self._reduce_block(block)
-        # echelonize the batch on its own first; the stored basis is
-        # back-substituted once per batch with a single matmul instead of
-        # one rank-sized outer product per new pivot
-        new_idx, new_piv = [], []
-        for i in range(block.shape[0]):
-            row = block[i]
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            row = row * pow(int(row[c]), p - 2, p) % p
-            block[i] = row
-            rest = block[i + 1 :, c]
-            rmask = rest != 0
-            if rmask.any():
-                block[i + 1 :][rmask] = (
-                    block[i + 1 :][rmask] - np.outer(rest[rmask], row)
-                ) % p
-            for j in new_idx:
-                if block[j, c]:
-                    block[j] = (block[j] - block[j, c] * row) % p
-            new_idx.append(i)
-            new_piv.append(c)
-            if self.rank + len(new_idx) >= self.ncols:
-                break
-        if not new_idx:
-            return self.rank
-        fresh = block[new_idx]
-        if self.rank:
-            E = self._rows[: self.rank]
-            coef = E[:, new_piv]
-            if coef.any():
-                if len(new_piv) * (p - 1) * (p - 1) < 2**53:
-                    prod = coef.astype(np.float64) @ fresh.astype(np.float64)
-                    E[:] = (E - np.rint(prod).astype(np.int64) % p) % p
-                else:
-                    # fresh rows are mutually reduced, so sequential
-                    # column-clearing updates stay consistent
-                    for t in range(len(new_piv)):
-                        col = E[:, new_piv[t]]
-                        mask = col != 0
-                        if mask.any():
-                            E[mask] = (E[mask] - np.outer(col[mask], fresh[t])) % p
-        self._grow(self.rank + len(new_idx))
-        self._rows[self.rank : self.rank + len(new_idx)] = fresh
-        self._pivcols.extend(new_piv)
-        self.rank += len(new_idx)
+        fresh, piv = _rref(self.reduce(vectors), self.p)
+        if piv:
+            _eliminate(self._rows, fresh, piv, self.p)
+            self._rows = np.concatenate([self._rows, fresh])
+            self._pivcols += piv
         return self.rank
 
     def reduce(self, vectors) -> np.ndarray:
         """Remainders of vectors modulo the accumulated span (for membership)."""
-        block = np.array(vectors, dtype=np.int64, copy=True) % self.p
-        if block.ndim == 1:
-            block = block[None, :]
-        if self.rank == 0:
-            return block
-        return self._reduce_block(block)
+        block = np.array(vectors, dtype=np.int64, ndmin=2) % self.p
+        return _eliminate(block, self._rows, self._pivcols, self.p)
 
     def basis(self) -> np.ndarray:
         """Copy of the reduced echelon basis accumulated so far."""
-        return self._rows[: self.rank].copy()
+        return self._rows.copy()
 
 
 class ExactRowReducer:

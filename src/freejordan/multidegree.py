@@ -212,6 +212,12 @@ def relation_rows(delta: tuple) -> tuple:
     return tuple(rows)
 
 
+# (8, 2, 1), the largest content checked against published values, has a
+# span estimate of 27,225 (9,520 normal monomials); from (6, 2, 2) at 42,840
+# up the dense int64 basis alone takes gigabytes, 7.1 GB for (7, 2, 2)
+_MAX_SPAN = 36_000
+
+
 def _span_estimate(delta: tuple) -> int:
     n = sum(delta)
     mult = factorial(n)
@@ -223,7 +229,8 @@ def _span_estimate(delta: tuple) -> int:
 def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
     """Dimension of the content-delta component of the free Jordan algebra.
 
-    Refuses total degree above 11.
+    Refuses total degree above 11, and contents whose span estimate
+    exceeds _MAX_SPAN, before any monomial is built.
     """
     delta = _check_content(delta)
     if sum(1 for x in delta if x) > max_parts:
@@ -232,10 +239,16 @@ def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
             % sum(1 for x in delta if x)
         )
     n = sum(delta)
+    span = _span_estimate(delta)
+    estimate = "up to %d spanning monomials" % span
     if n > 11:
         raise InfeasibleError(
-            "content %s has total degree %d > 11" % (delta, n),
-            estimate="up to %d spanning monomials" % _span_estimate(delta),
+            "content %s has total degree %d > 11" % (delta, n), estimate=estimate
+        )
+    if span > _MAX_SPAN:
+        raise InfeasibleError(
+            "content %s has a span estimate above %d" % (delta, _MAX_SPAN),
+            estimate=estimate,
         )
     basis = normal_monomials(delta)
     rows = relation_rows(delta)

@@ -202,6 +202,10 @@ class AlgebraFD:
                 )
             i, j = row[0], row[1]
             table[(i, j)] = {k: Fraction(num, den) for k, num, den in row[2:]}
+        if "dim" in data and data["dim"] != len(data["labels"]):
+            raise ValueError(
+                "dim is %s but %d labels are given" % (data["dim"], len(data["labels"]))
+            )
         return cls(
             data.get("kind", "jordan"),
             data["labels"],
@@ -588,7 +592,7 @@ def truncated_free_jordan(g: int, N: int, parities: tuple | None = None) -> Alge
 
 
 def _truncated_two_gen(N: int) -> AlgebraFD:
-    from .twogen import mask_to_word, reversible_basis
+    from .twogen import _reverse_mask, mask_to_word, reversible_basis
 
     if N > 8:
         raise InfeasibleError(
@@ -623,7 +627,7 @@ def _truncated_two_gen(N: int) -> AlgebraFD:
                     out[(v << n1) | u] = out.get((v << n1) | u, F0) + half
             entry = {}
             for m in out:
-                rev = _rev(m, n)
+                rev = _reverse_mask(m, n)
                 if m > rev:
                     continue
                 if out[m] != out.get(rev, F0):
@@ -633,12 +637,6 @@ def _truncated_two_gen(N: int) -> AlgebraFD:
             if entry:
                 table[(s, t)] = entry
     return AlgebraFD("jordan", labels, table, degree=degree)
-
-
-def _rev(mask: int, n: int) -> int:
-    from .twogen import _reverse_mask
-
-    return _reverse_mask(mask, n)
 
 
 def _truncated_multidegree(g: int, N: int) -> AlgebraFD:

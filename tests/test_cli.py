@@ -269,6 +269,16 @@ def test_cli_multidegree_refusal(capsys):
     assert "refused" in err and "estimated size" in err
 
 
+def test_cli_multidegree_refuses_large_span_quickly(capsys):
+    # (7, 2, 2) passes the degree and max_parts checks, but its dense basis
+    # would take 7.1 GB; the refusal comes before any monomial is built
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "multidegree", "--delta", "7,2,2")
+    assert code == 3
+    assert time.perf_counter() - start < 1
+    assert "estimated size: up to 108900 spanning monomials" in err
+
+
 def test_cli_multidegree_garbage(capsys):
     code, _, err = run_cli(capsys, "multidegree", "--delta", "2,x")
     assert code == 2
@@ -335,16 +345,18 @@ def test_cli_tag_rejects_non_jordan_table(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("labels, parity, table", [
-    (["a"], [0], [[0]]),  # a row without its pair
-    (["a"], [0], 5),  # a table that is not a list
-    (["a"], [0], [[0, 0, [3, 1, 1]]]),  # a product outside the basis
-    (["a", "b"], [0], [[0, 0, [0, 1, 1]]]),  # one parity bit for two vectors
-    (["a"], [0], [[0, 4, [0, 1, 1]]]),  # a pair outside the basis
-])
+@pytest.mark.parametrize("labels, parity, table, dim", [
+    (["a"], [0], [[0]], 1),  # a row without its pair
+    (["a"], [0], 5, 1),  # a table that is not a list
+    (["a"], [0], [[0, 0, [3, 1, 1]]], 1),  # a product outside the basis
+    (["a", "b"], [0], [[0, 0, [0, 1, 1]]], 2),  # one parity bit for two vectors
+    (["a"], [0], [[0, 4, [0, 1, 1]]], 1),  # a pair outside the basis
+    (["a"], [0], [[0, 0, [0, 1, 1]]], 5),  # a dim that is not the label count
+], ids=["labels0-parity0-table0", "labels1-parity1-5", "labels2-parity2-table2",
+        "labels3-parity3-table3", "labels4-parity4-table4", "dim-not-labels"])
 def test_cli_tag_rejects_malformed_structure_constants(capsys, tmp_path, labels,
-                                                       parity, table):
-    blob = {"kind": "jordan", "dim": len(labels), "labels": labels,
+                                                       parity, table, dim):
+    blob = {"kind": "jordan", "dim": dim, "labels": labels,
             "parity": parity, "table": table}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))

@@ -48,13 +48,17 @@ def acc_rank(m, p, batch=2):
     return acc.rank
 
 
-small_matrices = st.integers(1, 5).flatmap(
-    lambda nc: st.lists(
-        st.lists(st.integers(-30, 30), min_size=nc, max_size=nc),
-        min_size=1,
-        max_size=6,
+def matrices(max_rows):
+    return st.integers(1, 5).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.integers(-30, 30), min_size=nc, max_size=nc),
+            min_size=1,
+            max_size=max_rows,
+        )
     )
-)
+
+
+small_matrices = matrices(6)
 
 
 def test_prime_pools():
@@ -155,6 +159,27 @@ def test_accumulator_basis_is_rref():
     assert b.tolist() == [[1, 1, 0], [0, 0, 1]]
     # reducing the basis against itself leaves nothing
     assert not acc.reduce(b).any()
+
+
+@given(matrices(40), st.data(), st.sampled_from([0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_accumulator_batches_keep_rref(m, data, which):
+    # batches from one row to more than the whole matrix reach every level
+    # of the recursive echelon, on the BLAS-eligible and a 31-bit prime
+    p = (blas_primes(len(m[0]))[0], P31[0])[which]
+    batch = data.draw(st.integers(1, len(m) + 2))
+    rows = np.asarray(m, dtype=np.int64)
+    acc = RankAccumulator(rows.shape[1], p)
+    for i in range(0, len(rows), batch):
+        acc.add(rows[i : i + batch])
+    assert acc.rank == gauss_rank_oracle(m)
+    b = acc.basis()
+    lead = [int(np.flatnonzero(row)[0]) for row in b]
+    assert len(set(lead)) == len(lead) == acc.rank
+    for k, c in enumerate(lead):
+        # a leading 1, and 0 at every other row's leading column
+        assert b[k, c] == 1 and np.count_nonzero(b[:, c]) == 1
+    assert not acc.reduce(rows).any()
 
 
 @given(small_matrices)
