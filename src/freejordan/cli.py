@@ -128,6 +128,7 @@ def cmd_predict_modules(args) -> int:
 
 def cmd_operad(args) -> int:
     from .cache import cached
+    from .linalg import choose_primes
     from .operad import check_degree, consequences, multiplicity
     from .partitions import dim_irrep, partitions
     from .trees import normal_types
@@ -136,18 +137,8 @@ def cmd_operad(args) -> int:
     if n < 1:
         raise ValueError("degree must be positive")
     check_degree(n)
-    if args.prime:
-        from .linalg import is_prime
-
-        if not is_prime(args.prime):
-            raise ValueError("%d is not prime" % args.prime)
-        if args.prime <= n:
-            # S_n representation matrices and the 1/2^k coefficients
-            # need every integer up to n to be invertible
-            raise ValueError(
-                "--prime %d must exceed the degree %d" % (args.prime, n)
-            )
-    primes = [args.prime] if args.prime else None
+    # checked before any relation is built; defaults depend on the shape
+    primes = choose_primes(0, n, [args.prime]) if args.prime else None
     shapes = [_parse_partition(args.shape)] if args.shape else list(partitions(n))
     for shape in shapes:
         if sum(shape) != n or any(

@@ -15,11 +15,14 @@ where that is exact, a loop over the pivots where it is not.  The batch
 echelon _rref recurses on halves and does every update between rows
 through it (the shape of FFLAS-FFPACK's PLUQ, Dumas-Giorgi-Pernet 2008).
 
-A modular rank is reported only through certify, which compares the ranks
-of one matrix over several primes. Default primes follow one rule,
-blas_primes(width): the largest primes for which the kernel on that many
-columns stays on its float64 matmul path, which is exact by a
-counting argument (all intermediate values stay under 2**53), never an
+Relation matrices reach RankAccumulator through modular_ranks, one
+accumulator per prime over the same integer blocks, and a modular rank is
+reported only through certify, which compares the ranks of one matrix over
+several primes.  Primes follow one rule, choose_primes: explicit ones
+must be primes p with n < p < 2**31 in degree n; the default is
+blas_primes(width), the largest primes for which the kernel on that many
+columns stays on its float64 matmul path, which is exact by a counting
+argument (all intermediate values stay under 2**53), never an
 approximation.
 
 Thread-safety: all functions are pure; RankAccumulator instances are not
@@ -85,10 +88,23 @@ def _blas_ok(p: int, inner: int) -> bool:
     return inner * (p - 1) * (p - 1) < 2**53
 
 
-def frac_mod(c, p: int) -> int:
-    """Image of an int or Fraction in Z/p (denominator inverted, not floored)."""
-    c = Fraction(c)
-    return c.numerator * pow(c.denominator, -1, p) % p
+def choose_primes(width: int, n: int, primes=None) -> tuple:
+    """The primes for ranks on `width` columns of a degree-n relation matrix:
+    blas_primes(width), or `primes` once each is checked to be a prime p
+    with n < p < 2**31.  Relation rows are integral up to a power of two,
+    S_n representations need 1..n invertible, and int64 products of two
+    residues overflow from 2**31 on."""
+    if primes is None:
+        return blas_primes(width)
+    primes = tuple(primes)
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
+        if p <= n:
+            raise ValueError("prime %d must exceed the degree %d" % (p, n))
+        if p >= 2**31:
+            raise ValueError("prime %d is too large: need p < 2^31" % p)
+    return primes
 
 
 def bareiss_rank(rows) -> int:
@@ -100,17 +116,9 @@ def bareiss_rank(rows) -> int:
     """
     m = []
     for row in rows:
-        ints = []
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        for x in row:
-            if isinstance(x, Fraction):
-                ints.append(int(x * lcm))
-            else:
-                ints.append(int(x) * lcm)
-        m.append(ints)
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([int(x * scale) for x in row])
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -133,12 +141,6 @@ def bareiss_rank(rows) -> int:
         prev = m[r][c]
         r += 1
     return r
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def certify(ranks: dict) -> int:
@@ -245,6 +247,24 @@ class RankAccumulator:
     def basis(self) -> np.ndarray:
         """Copy of the reduced echelon basis accumulated so far."""
         return self._rows.copy()
+
+
+def modular_ranks(blocks, ncols: int, primes, cap=None) -> dict:
+    """{p: rank over F_p} of the rows of the integer 2d arrays `blocks`.
+
+    Every block goes to one RankAccumulator per prime, in order.  `cap` is
+    a known bound on the rank (default ncols): a prime that reaches it
+    takes no more blocks, and none is pulled once every prime has.
+    """
+    cap = ncols if cap is None else cap
+    accs = [RankAccumulator(ncols, p) for p in primes]
+    for block in blocks:
+        for acc in accs:
+            if acc.rank < cap:
+                acc.add(block)
+        if all(acc.rank >= cap for acc in accs):
+            break
+    return {acc.p: acc.rank for acc in accs}
 
 
 class ExactRowReducer:

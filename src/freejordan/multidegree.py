@@ -36,9 +36,11 @@ type), on consecutive labels and up to the slot-1/2/4 symmetry, carries the
 orbit.  Every append is likewise a relabelling of a degree-(n-1)
 representative times x_n or a degree-(n-2) one times (x_{n-1} x_n).
 
-Dimensions come from certified modular ranks; the exact Component view
-keeps a rational echelon form instead, so products can be expressed in an
-explicit quotient basis.
+Relation rows are integral: straightening only ever halves, so each row
+is scaled once, where it is built, by a power of two, which moves neither
+its span over Q nor its rank modulo an odd prime.  Dimensions come from
+certified modular ranks; the exact Component view keeps a rational echelon
+form instead, so products can be expressed in an explicit quotient basis.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import ExactRowReducer, RankAccumulator, blas_primes, certify, frac_mod
+from .linalg import ExactRowReducer, certify, choose_primes, modular_ranks
 from .trees import (
     monomial_key,
     monomial_to_tree,
@@ -157,7 +159,8 @@ def _mul(e1: dict, e2: dict) -> dict:
 
 
 def _jordan_row(b1: tuple, b2: tuple, b3: tuple, b4: tuple) -> dict:
-    """The defining identity at four normal monomials, in normal coordinates."""
+    """The defining identity at four normal monomials, in normal coordinates,
+    scaled by the power of two that makes its coefficients integers."""
     one = Fraction(1)
     e1, e2, e3, e4 = {b1: one}, {b2: one}, {b3: one}, {b4: one}
     p12, p14, p24 = _mul(e1, e2), _mul(e1, e4), _mul(e2, e4)
@@ -176,7 +179,8 @@ def _jordan_row(b1: tuple, b2: tuple, b3: tuple, b4: tuple) -> dict:
                 out[m] = v
             else:
                 out.pop(m, None)
-    return out
+    scale = lcm(*(c.denominator for c in out.values()))
+    return {m: int(c * scale) for m, c in out.items()}
 
 
 @cache
@@ -251,6 +255,7 @@ def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
             estimate=estimate,
         )
     basis = normal_monomials(delta)
+    primes = choose_primes(len(basis), n, primes)
     rows = relation_rows(delta)
     if not rows:
         return len(basis)
@@ -259,23 +264,17 @@ def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
         (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
         for r in rows
     ]
-    if primes is None:
-        primes = blas_primes(len(basis))
-    ranks = {}
-    for p in primes:
-        acc = RankAccumulator(len(basis), p)
-        batch = np.zeros((min(256, len(sparse)), len(basis)), dtype=np.int64)
-        k = 0
-        for cols, vals in sparse:
-            batch[k, cols] = [frac_mod(v, p) for v in vals]
-            k += 1
-            if k == batch.shape[0]:
-                acc.add(batch)
-                batch.fill(0)
-                k = 0
-        if k:
-            acc.add(batch[:k])
-        ranks[p] = acc.rank
+
+    def batches():
+        for start in range(0, len(sparse), 256):
+            chunk = sparse[start : start + 256]
+            batch = np.zeros((len(chunk), len(basis)), dtype=np.int64)
+            for k, (cols, vals) in enumerate(chunk):
+                batch[k, cols] = vals
+            yield batch
+
+    # one prime at a time: a second accumulator on this width costs memory
+    ranks = {p: modular_ranks(batches(), len(basis), (p,))[p] for p in primes}
     return len(basis) - certify(ranks)
 
 

@@ -29,7 +29,7 @@ from math import factorial, isqrt
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import RankAccumulator, blas_primes, certify, frac_mod
+from .linalg import RankAccumulator, certify, choose_primes, modular_ranks
 from .multidegree import _jordan_row, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
@@ -126,47 +126,31 @@ def _sigma_expansion(n: int) -> tuple:
     return tuple(rows)
 
 
-def _block_columns(shape: tuple, n: int, p: int):
-    """Yield int64 column blocks (d columns each) of the relation matrix mod p."""
-    comps = normal_types(n)
-    d = dim_irrep(shape)
-    f = len(comps)
+def _relations(n: int):
+    """Each relation as ((type index, permutation, coeff), ...): the slot
+    swaps of every type, then the generators."""
     ident = tuple(range(n))
-    for ti, comp in enumerate(comps):
+    for ti, comp in enumerate(normal_types(n)):
         for t in type_swap_perms(comp, n):
-            block = np.zeros((f * d, d), dtype=np.int64)
-            swap = (
-                clifton_matrix(shape, ident).astype(np.int64)
-                - clifton_matrix(shape, t).astype(np.int64)
-            ) % p
-            block[ti * d : (ti + 1) * d] = swap
-            yield block
-    for terms in _sigma_expansion(n):
-        block = np.zeros((f * d, d), dtype=np.int64)
-        for ti, sigma_inv, c in terms:
-            sub = block[ti * d : (ti + 1) * d]
-            sub += frac_mod(c, p) * clifton_matrix(shape, sigma_inv).astype(np.int64)
-        block %= p
-        yield block
+            yield ((ti, ident, 1), (ti, t, -1))
+    yield from _sigma_expansion(n)
 
 
-def _rank_one_prime(shape: tuple, n: int, p: int) -> int:
+def _row_batches(shape: tuple, n: int):
+    """The relation matrix over Z, d rows per relation, 24 relations to a
+    batch, all in one buffer (RankAccumulator.add copies what it takes)."""
     d = dim_irrep(shape)
-    f = len(normal_types(n))
-    acc = RankAccumulator(f * d, p)
-    pending = []
-    width = 0
-    for block in _block_columns(shape, n, p):
-        pending.append(block.T)
-        width += block.shape[1]
-        if width >= 24 * d:  # feed the accumulator 24 blocks at a time
-            acc.add(np.concatenate(pending, axis=0))
-            pending, width = [], 0
-        if acc.is_full:
-            return acc.rank
-    if pending:
-        acc.add(np.concatenate(pending, axis=0))
-    return acc.rank
+    relations = _relations(n)
+    buf = np.empty((24 * d, len(normal_types(n)) * d), dtype=np.int64)
+    while chunk := list(islice(relations, 24)):
+        batch = buf[: len(chunk) * d]
+        batch.fill(0)
+        for k, terms in enumerate(chunk):
+            for ti, sigma, c in terms:
+                batch[k * d : (k + 1) * d, ti * d : (ti + 1) * d] += (
+                    c * clifton_matrix(shape, sigma).T.astype(np.int64)
+                )
+        yield batch
 
 
 def multiplicity(shape: tuple, n: int, primes=None) -> int:
@@ -174,9 +158,10 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     if sum(shape) != n:
         raise ValueError("shape %s is not a partition of %d" % (shape, n))
     width = len(normal_types(n)) * dim_irrep(shape)
-    if primes is None:
-        primes = blas_primes(width)
-    return width - certify({p: _rank_one_prime(shape, n, p) for p in primes})
+    # one prime at a time: a second accumulator on this width costs memory
+    ranks = {p: modular_ranks(_row_batches(shape, n), width, (p,))[p]
+             for p in choose_primes(width, n, primes)}
+    return width - certify(ranks)
 
 
 MAX_DEGREE = 9
@@ -206,11 +191,8 @@ def jord_module(n: int, primes=None, max_degree=MAX_DEGREE, workers=4) -> SnModu
     check_degree(n, max_degree)
     shapes = partitions(n)
     consequences(n)  # build shared input once, outside the pool
-    if workers > 1 and len(shapes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mults = list(pool.map(lambda s: multiplicity(s, n, primes), shapes))
-    else:
-        mults = [multiplicity(s, n, primes) for s in shapes]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mults = list(pool.map(lambda s: multiplicity(s, n, primes), shapes))
     return SnModule(n, dict(zip(shapes, mults)))
 
 
@@ -278,8 +260,7 @@ def naive_dim(n: int, primes=None) -> int:
             estimate="%d rows" % (jordan_identity_count(n) * factorial(n)),
         )
     width = len(_tree_basis(n))
-    if primes is None:
-        primes = blas_primes(width)
+    primes = choose_primes(width, n, primes)
     return width - certify({p: _translate_span(n, p).rank for p in primes})
 
 
@@ -315,8 +296,7 @@ def naive_module(n: int, primes=None) -> SnModule:
     """
     if n > 6:
         raise InfeasibleError("degree %d tree projectors are too large" % n)
-    if primes is None:
-        primes = blas_primes(len(_tree_basis(n)))
+    primes = choose_primes(len(_tree_basis(n)), n, primes)
     shapes = partitions(n)
     ambient = {}
     for shape in shapes:

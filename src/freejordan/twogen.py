@@ -21,12 +21,13 @@ rank per degree.
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 from math import comb, gcd
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import RankAccumulator, blas_primes, certify
+from .linalg import certify, choose_primes, modular_ranks
 
 
 def mask_to_word(mask: int, n: int) -> tuple:
@@ -178,24 +179,17 @@ def _block_ranks(n: int, ones: int, primes) -> dict:
     cols = [m for m in range(2 ** n) if bin(m).count("1") == ones]
     index = {m: i for i, m in enumerate(cols)}
     target = _fixed_dims_by_weight(n)[ones]
-    accs = {p: RankAccumulator(len(cols), p) for p in primes}
-    batch = np.zeros((min(128, max(16, target)), len(cols)), dtype=np.int64)
-    k = 0
-    for row in _content_rows(n, ones):
-        for mask, c in row.items():
-            batch[k, index[mask]] = c
-        k += 1
-        if k == batch.shape[0]:
-            for acc in accs.values():
-                acc.add(batch)
-            batch.fill(0)
-            k = 0
-            if all(acc.rank == target for acc in accs.values()):
-                break
-    if k and not all(acc.rank == target for acc in accs.values()):
-        for acc in accs.values():
-            acc.add(batch[:k])
-    return {p: acc.rank for p, acc in accs.items()}
+
+    def batches():
+        rows = _content_rows(n, ones)
+        while chunk := list(islice(rows, min(128, max(16, target)))):
+            batch = np.zeros((len(chunk), len(cols)), dtype=np.int64)
+            for k, row in enumerate(chunk):
+                for mask, c in row.items():
+                    batch[k, index[mask]] = c
+            yield batch
+
+    return modular_ranks(batches(), len(cols), primes, cap=target)
 
 
 def jordan_span_dim(n: int, primes=None) -> int:
@@ -208,9 +202,8 @@ def jordan_span_dim(n: int, primes=None) -> int:
             "degree %d Jordan span needs a %d-column expansion matrix" % (n, 2 ** n),
             estimate="2^%d columns, rank target %d" % (n, reversible_dim(n)),
         )
-    if primes is None:
-        # the widest content block has n//2 second letters
-        primes = blas_primes(comb(n, n // 2))
+    # the widest content block has n//2 second letters
+    primes = choose_primes(comb(n, n // 2), n, primes)
     total = 0
     for ones in range(n // 2 + 1):
         # swapping the two letters matches the block with its mirror

@@ -12,9 +12,13 @@ from freejordan.linalg import (
     bareiss_rank,
     blas_primes,
     certify,
-    frac_mod,
+    choose_primes,
     is_prime,
+    modular_ranks,
 )
+from freejordan.multidegree import multidegree_dim
+from freejordan.operad import jord_module, multiplicity, naive_dim
+from freejordan.twogen import jordan_span_dim
 
 # 31-bit primes: RankAccumulator never takes its float64 path with these
 P31 = (2147483647, 2147483629)
@@ -98,9 +102,52 @@ def test_rank_hilbert_exact():
     assert bareiss_rank(h) == 3
 
 
-def test_rank_denominator_collision():
-    with pytest.raises(ValueError):
-        frac_mod(Fraction(1, 101), 101)
+def test_choose_primes_default_and_explicit():
+    assert choose_primes(832, 8) == blas_primes(832)
+    assert choose_primes(832, 8, [P31[1], 11]) == (P31[1], 11)
+
+
+# each of these returned a wrong number, or accepted a non-prime, before
+# the library checked explicit primes: (3,2,1) gave 34 (truth 30), the
+# degree-6 span 9 (truth 36), (3,1,1) multiplicity 4 (truth 2)
+@pytest.mark.parametrize("call, message", [
+    (lambda: multidegree_dim((3, 2, 1), primes=(3,)), "exceed the degree"),
+    (lambda: jordan_span_dim(6, primes=(2,)), "exceed the degree"),
+    (lambda: multiplicity((3, 1, 1), 5, primes=(2,)), "exceed the degree"),
+    (lambda: jord_module(5, primes=(5, 101)), "exceed the degree"),
+    (lambda: naive_dim(5, primes=(3,)), "exceed the degree"),
+    (lambda: jordan_span_dim(8, primes=(9,)), "not prime"),
+    (lambda: multiplicity((3, 2), 5, primes=(9,)), "not prime"),
+    (lambda: naive_dim(4, primes=(4294967311,)), "2\\^31"),
+    (lambda: multidegree_dim((2, 2), primes=(2305843009213693951,)), "2\\^31"),
+])
+def test_library_refuses_explicit_primes_outside_the_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@given(matrices(40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_modular_ranks_match_gauss_and_stop_at_cap(m, data):
+    ncols = len(m[0])
+    rows = np.asarray(m, dtype=np.int64)
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(m) - 1))))
+    blocks = np.split(rows, sorted(cuts))
+    primes = (blas_primes(ncols)[0], P31[0])
+    r = gauss_rank_oracle(m)
+    assert modular_ranks(iter(blocks), ncols, primes) == {p: r for p in primes}
+    pulled = []
+
+    def counted():
+        for block in blocks:
+            pulled.append(block)
+            yield block
+
+    assert modular_ranks(counted(), ncols, primes, cap=r) == {p: r for p in primes}
+    # the first block after which the rows so far have rank r ends the feed
+    first = next(k for k in range(1, len(blocks) + 1)
+                 if gauss_rank_oracle(rows[: sum(map(len, blocks[:k]))].tolist()) == r)
+    assert len(pulled) == first
 
 
 @given(small_matrices)

@@ -6,12 +6,13 @@ import pytest
 from freejordan import tables
 from freejordan.errors import InfeasibleError
 from freejordan.multidegree import (
+    _jordan_row,
     component,
     multidegree_dim,
     normal_monomials,
     relation_rows,
 )
-from freejordan.operad import jord_module
+from freejordan.operad import consequences, jord_module
 from freejordan.partitions import kostka
 from freejordan.trees import monomial_slot_labels
 
@@ -73,6 +74,22 @@ def test_relation_rows_have_uniform_content():
             for m in row:
                 labels = monomial_slot_labels(m)
                 assert tuple(labels.count(i + 1) for i in range(g)) == delta
+
+
+def test_relation_rows_are_integral():
+    # straightening halves this instance; it is scaled by 2 where it is built
+    y = ((2,), ())
+    assert _jordan_row(y, y, y, ((1, 1), ((2,),))) == {
+        ((1, 1), ((2,), (2,), (2, 2))): -3,
+        ((2, 2), ((2,), (1,), (1, 2))): 2,
+        ((2, 2), ((2,), (1,), (2,), (1,))): -2,
+        ((2, 2), ((2,), (2,), (1, 1))): 1,
+        ((1, 1), ((2,), (2,), (2,), (2,))): 2,
+    }
+    rows = [_jordan_row(y, y, y, ((1, 1), ((2,),)))]
+    rows += [r for n in range(4, 8) for r in consequences(n)]
+    rows += relation_rows((3, 2, 1))
+    assert all(type(c) is int for r in rows for c in r.values())
 
 
 def test_prime_independence():

@@ -185,6 +185,7 @@ def test_jord_module_infeasible_by_default():
 
 
 def test_jord_module_serial_path():
+    # one worker: the same pool as the default, on one thread
     m = jord_module(4, workers=1)
     assert m.mults == tables.JORDAN_MODULE[4]
 
