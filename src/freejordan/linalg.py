@@ -3,17 +3,20 @@
 Scalars are python ints and fractions.Fraction; nothing here ever trusts a
 float. There are two elimination engines and one oracle:
 
-- RankAccumulator, incremental rank over F_p on dense numpy int64 rows;
-  every modular rank in the package comes from it;
+- RankAccumulator, incremental rank over F_p; it stores its reduced
+  echelon basis as [I | X], only X on the free (non-pivot) columns, in
+  numpy int64: rank x (ncols - rank) entries.  Every modular rank in the
+  package comes from it;
 - ExactRowReducer, incremental reduced echelon form over Q on sparse dict
   rows, for spaces that need exact quotient coordinates; it takes no
   column count, since a sparse row names its own columns;
 - bareiss_rank, fraction-free rank over Z, the exact oracle for tests.
 
-All modular elimination is one kernel, _eliminate: one float64 matmul
-where that is exact, a loop over the pivots where it is not.  The batch
-echelon _rref recurses on halves and does every update between rows
-through it (the shape of FFLAS-FFPACK's PLUQ, Dumas-Giorgi-Pernet 2008).
+All modular elimination is one kernel, _eliminate, C <- C - A @ B mod p:
+one float64 matmul where that is exact, a loop over the columns of A
+where it is not.  The batch echelon _rref recurses on halves and does
+every update between rows through it (the shape of FFLAS-FFPACK's PLUQ,
+Dumas-Giorgi-Pernet 2008).
 
 Relation matrices reach RankAccumulator through modular_ranks, one
 accumulator per prime over the same integer blocks, and a modular rank is
@@ -157,31 +160,29 @@ def certify(ranks: dict) -> int:
     return values.pop()
 
 
-def _eliminate(T: np.ndarray, B: np.ndarray, piv, p: int) -> np.ndarray:
-    """Clear columns `piv` of T, in place, against the rows B; returns T.
+def _eliminate(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """C <- C - A @ B mod p, in place; returns C.
 
-    B must be in reduced echelon form on those columns: B[k] is 1 at
-    piv[k] and 0 at every other column of piv, so each row of T loses
-    T[:, piv] @ B.  Entries of T and B are residues in [0, p).
+    Entries of all three are residues in [0, p).  The loop path needs A
+    apart from C (a copy, never a view of it).
     """
-    if not len(piv):
-        return T
-    if _blas_ok(p, len(piv)):
-        # exact: dot products are integers below len(piv)*(p-1)^2 < 2**53
-        prod = T[:, piv].astype(np.float64) @ B.astype(np.float64)
+    if not A.shape[1]:
+        return C
+    if _blas_ok(p, A.shape[1]):
+        # exact: dot products are integers below inner*(p-1)^2 < 2**53
+        prod = A.astype(np.float64) @ B.astype(np.float64)
         np.rint(prod, out=prod)
-        np.subtract(T, prod, out=prod)
-        T[...] = prod
-        np.remainder(T, p, out=T)
+        np.subtract(C, prod, out=prod)
+        C[...] = prod
+        np.remainder(C, p, out=C)
     else:
-        # B[k] is 0 at the other pivot columns, so subtracting it leaves
-        # them alone and the pivots can be cleared one at a time
-        for k, c in enumerate(piv):
-            col = T[:, c]
+        # one rank-1 update per column of A, on the rows where it is nonzero
+        for k in range(A.shape[1]):
+            col = A[:, k]
             mask = col != 0
             if mask.any():
-                T[mask] = (T[mask] - np.outer(col[mask], B[k])) % p
-    return T
+                C[mask] = (C[mask] - np.outer(col[mask], B[k])) % p
+    return C
 
 
 def _rref(block: np.ndarray, p: int):
@@ -195,20 +196,26 @@ def _rref(block: np.ndarray, p: int):
         return block * pow(int(block[0, c]), -1, p) % p, [c]
     h = len(block) // 2
     top, tpiv = _rref(block[:h], p)
-    bottom, bpiv = _rref(_eliminate(block[h:], top, tpiv, p), p)
-    _eliminate(top, bottom, bpiv, p)
+    bottom = block[h:]
+    bottom, bpiv = _rref(_eliminate(bottom, bottom[:, tpiv], top, p), p)
+    _eliminate(top, top[:, bpiv], bottom, p)
     return np.concatenate([top, bottom]), tpiv + bpiv
 
 
 class RankAccumulator:
     """Incremental rank of a growing set of vectors over F_p.
 
-    Holds a reduced echelon basis of the span: row k has its leading 1 at
-    its pivot column, where every other row is 0.  add() clears the stored
-    pivot columns of the batch (_eliminate), takes the reduced echelon
-    form of what is left (_rref), clears the fresh pivot columns of the
-    stored basis and appends the fresh rows.  Once the rank reaches the
-    ambient dimension further adds are no-ops (is_full).
+    Holds a reduced echelon basis of the span in the form [I | X]: row k
+    is 1 at its pivot column _pivcols[k] and 0 at every other pivot
+    column, so only X, its entries on the free (non-pivot) columns _free,
+    is stored: rank x (ncols - rank) residues, at most ncols**2/4.
+
+    reduce(T) subtracts T[:, pivots] @ X from the free columns of T.
+    add(T) takes the reduced echelon form of that remainder (_rref),
+    clears its fresh pivot columns out of X, appends its rows and moves
+    those columns from the free set to the pivots.  Once the rank reaches
+    the ambient dimension (is_full) no column is free and adds change
+    nothing.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -217,8 +224,9 @@ class RankAccumulator:
             raise ValueError("prime %d is too large: need p < 2^31" % p)
         self.ncols = ncols
         self.p = p
-        self._rows = np.zeros((0, ncols), dtype=np.int64)
         self._pivcols = []
+        self._free = np.arange(ncols)
+        self._x = np.zeros((0, ncols), dtype=np.int64)
 
     @property
     def rank(self) -> int:
@@ -228,25 +236,48 @@ class RankAccumulator:
     def is_full(self) -> bool:
         return self.rank >= self.ncols
 
+    def _remainder(self, vectors) -> np.ndarray:
+        # the free columns of vectors, modulo the span
+        block = np.array(vectors, dtype=np.int64, ndmin=2)
+        if block.ndim != 2 or block.shape[1] != self.ncols:
+            raise ValueError(
+                "expected rows of width %d, got shape %s" % (self.ncols, block.shape)
+            )
+        block %= self.p
+        coef = block[:, self._pivcols]
+        block = block[:, self._free]
+        return _eliminate(block, coef, self._x, self.p)
+
     def add(self, vectors) -> int:
         """Absorb vectors (2d array, one vector per row); returns the rank."""
-        if self.is_full:
-            return self.rank
-        fresh, piv = _rref(self.reduce(vectors), self.p)
+        fresh, piv = _rref(self._remainder(vectors), self.p)
         if piv:
-            _eliminate(self._rows, fresh, piv, self.p)
-            self._rows = np.concatenate([self._rows, fresh])
-            self._pivcols += piv
+            keep = np.ones(len(self._free), dtype=bool)
+            keep[piv] = False
+            coef = self._x[:, piv]
+            # drop the fresh pivot columns first, so that the old X is freed
+            self._x = self._x[:, keep]
+            fresh = fresh[:, keep]
+            _eliminate(self._x, coef, fresh, self.p)
+            self._x = np.concatenate([self._x, fresh])
+            self._pivcols += self._free[piv].tolist()
+            self._free = self._free[keep]
         return self.rank
 
     def reduce(self, vectors) -> np.ndarray:
-        """Remainders of vectors modulo the accumulated span (for membership)."""
-        block = np.array(vectors, dtype=np.int64, ndmin=2) % self.p
-        return _eliminate(block, self._rows, self._pivcols, self.p)
+        """Remainders of vectors modulo the accumulated span (for membership),
+        0 on the pivot columns."""
+        rem = self._remainder(vectors)
+        out = np.zeros((len(rem), self.ncols), dtype=np.int64)
+        out[:, self._free] = rem
+        return out
 
     def basis(self) -> np.ndarray:
-        """Copy of the reduced echelon basis accumulated so far."""
-        return self._rows.copy()
+        """The reduced echelon basis accumulated so far, one row per pivot."""
+        out = np.zeros((self.rank, self.ncols), dtype=np.int64)
+        out[np.arange(self.rank), self._pivcols] = 1
+        out[:, self._free] = self._x
+        return out
 
 
 def modular_ranks(blocks, ncols: int, primes, cap=None) -> dict:

@@ -217,8 +217,10 @@ def relation_rows(delta: tuple) -> tuple:
 
 
 # (8, 2, 1), the largest content checked against published values, has a
-# span estimate of 27,225 (9,520 normal monomials); from (6, 2, 2) at 42,840
-# up the dense int64 basis alone takes gigabytes, 7.1 GB for (7, 2, 2)
+# span estimate of 27,225 (9,520 normal monomials); (6, 2, 2) at 42,840 has
+# 12,083 and (7, 2, 2) at 108,900 has 30,300, an echelon basis of up to
+# 30,300**2/4 int64 entries (1.8 GB) beside its relation rows; the bound
+# stays until such a run is measured within 8 GB
 _MAX_SPAN = 36_000
 
 

@@ -295,9 +295,10 @@ def test_09_extended_long_running():
     test_published_degree_eleven_values, degrees 8 and 9 in
     test_jord_module_degree_eight and _nine).
 
-    Its widest shape has 26,112 columns, a dense int64 basis of about
-    5.4 GB per accumulator (ROADMAP item 5), so it runs for hours and can
-    exhaust an 8 GB host.
+    Its widest shape has 26,112 columns, an echelon basis of at most
+    26,112^2/4 int64 entries per accumulator (about 1.36 GB; 81 MB once
+    the rank reaches 25,718, ROADMAP item 5); it runs for hours and has
+    not been measured within 8 GB.
     To run the rest of the slow tier without it, add
     --deselect tests/test_acceptance.py::test_09_extended_long_running.
     """

@@ -270,8 +270,9 @@ def test_cli_multidegree_refusal(capsys):
 
 
 def test_cli_multidegree_refuses_large_span_quickly(capsys):
-    # (7, 2, 2) passes the degree and max_parts checks, but its dense basis
-    # would take 7.1 GB; the refusal comes before any monomial is built
+    # (7, 2, 2) passes the degree and max_parts checks, but its 30,300
+    # columns give an echelon basis of up to 1.8 GB; the refusal comes
+    # before any monomial is built
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "multidegree", "--delta", "7,2,2")
     assert code == 3
