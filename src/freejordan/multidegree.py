@@ -36,19 +36,23 @@ type), on consecutive labels and up to the slot-1/2/4 symmetry, carries the
 orbit.  Every append is likewise a relabelling of a degree-(n-1)
 representative times x_n or a degree-(n-2) one times (x_{n-1} x_n).
 
-Relation rows are integral: straightening only ever halves, so each row
-is scaled once, where it is built, by a power of two, which moves neither
-its span over Q nor its rank modulo an odd prime.  Dimensions come from
-certified modular ranks; the exact Component view keeps a rational echelon
-form instead, so products can be expressed in an explicit quotient basis.
+Relation rows are integral: straightening only ever halves, so each cached
+product of two normal monomials is stored once as ints over one power of
+two, 2**s, and rows are assembled in int arithmetic, shifting the running
+sum left when a term brings a larger s.  Each row is then scaled, where it
+is built, by the least power of two that makes it integral, which moves
+neither its span over Q nor its rank modulo an odd prime.  Dimensions come
+from certified modular ranks; the exact Component view keeps a rational
+echelon form instead, so products can be expressed in an explicit quotient
+basis.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -64,6 +68,9 @@ from .trees import (
 
 
 def _check_content(delta) -> tuple:
+    delta = tuple(delta)
+    if any(isinstance(x, bool) or not isinstance(x, Integral) for x in delta):
+        raise ValueError("content counts must be integers, got %r" % (delta,))
     delta = tuple(int(x) for x in delta)
     if not delta or any(x < 0 for x in delta) or sum(delta) == 0:
         raise ValueError("content must list a nonnegative count per generator")
@@ -139,48 +146,68 @@ def _unit_factors(g: int):
 
 @cache
 def _mul_normal(m1: tuple, m2: tuple) -> tuple:
-    """Product of two normal monomials, restraightened; sorted key pairs."""
+    """Product of two normal monomials, restraightened, as (s, pairs): the
+    product is the sorted (monomial, int) pairs times 2**-s, with s the
+    least such power.  Straightening stays in Fractions; they are converted
+    here, once per cache entry."""
     t = node(monomial_to_tree(m1), monomial_to_tree(m2))
-    return tuple(sorted(straighten(t).items()))
+    terms = sorted(straighten(t).items())
+    den = lcm(*(c.denominator for _, c in terms))
+    s = den.bit_length() - 1
+    if den != 1 << s:
+        raise ArithmeticError("straightening gave the denominator %d" % den)
+    return s, tuple((m, c.numerator * (den // c.denominator)) for m, c in terms)
 
 
-def _mul(e1: dict, e2: dict) -> dict:
-    out = {}
-    for m1, c1 in e1.items():
-        for m2, c2 in e2.items():
-            c = c1 * c2
-            for m, d in _mul_normal(*sorted((m1, m2))):
+def _mul(e1: tuple, e2: tuple) -> tuple:
+    """Product of two elements (s, {monomial: int}), each meaning the
+    dict times 2**-s."""
+    s1, d1 = e1
+    s2, d2 = e2
+    shift, out = 0, {}
+    for m1, c1 in d1.items():
+        for m2, c2 in d2.items():
+            s, terms = _mul_normal(*((m1, m2) if m1 <= m2 else (m2, m1)))
+            if s > shift:
+                out = {m: v << (s - shift) for m, v in out.items()}
+                shift = s
+            c = c1 * c2 << (shift - s)
+            for m, d in terms:
                 v = out.get(m, 0) + c * d
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-    return out
+    return s1 + s2 + shift, out
 
 
 def _jordan_row(b1: tuple, b2: tuple, b3: tuple, b4: tuple) -> dict:
     """The defining identity at four normal monomials, in normal coordinates,
-    scaled by the power of two that makes its coefficients integers."""
-    one = Fraction(1)
-    e1, e2, e3, e4 = {b1: one}, {b2: one}, {b3: one}, {b4: one}
+    scaled by the least power of two that makes its coefficients integers."""
+    e1, e2, e3, e4 = (0, {b1: 1}), (0, {b2: 1}), (0, {b3: 1}), (0, {b4: 1})
     p12, p14, p24 = _mul(e1, e2), _mul(e1, e4), _mul(e2, e4)
-    out = {}
-    for term, sign in (
+    terms = (
         (_mul(_mul(p12, e3), e4), 1),
         (_mul(_mul(p24, e3), e1), 1),
         (_mul(_mul(p14, e3), e2), 1),
         (_mul(p12, _mul(e3, e4)), -1),
         (_mul(_mul(e1, e3), p24), -1),
         (_mul(p14, _mul(e2, e3)), -1),
-    ):
+    )
+    shift = max(s for (s, _), _ in terms)
+    out = {}
+    for (s, term), sign in terms:
+        k = shift - s
         for m, c in term.items():
-            v = out.get(m, 0) + sign * c
+            v = out.get(m, 0) + (sign * c << k)
             if v:
                 out[m] = v
             else:
                 out.pop(m, None)
-    scale = lcm(*(c.denominator for c in out.values()))
-    return {m: int(c * scale) for m, c in out.items()}
+    while shift and all(c & 1 == 0 for c in out.values()):
+        out = {m: c >> 1 for m, c in out.items()}
+        shift -= 1
+    return out
 
 
 @cache
@@ -209,10 +236,10 @@ def relation_rows(delta: tuple) -> tuple:
         lower = tuple(a - b for a, b in zip(delta, content))
         if min(lower) < 0 or sum(lower) < 4:
             continue
+        # a monomial of degree >= 4 has a factor, and a factor appended
+        # behind it leaves the key canonical
         for r in relation_rows(lower):
-            rows.append(
-                {monomial_key(m[0], m[1] + (u,)): c for m, c in r.items()}
-            )
+            rows.append({(m[0], m[1] + (u,)): c for m, c in r.items()})
     return tuple(rows)
 
 
@@ -239,10 +266,10 @@ def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
     exceeds _MAX_SPAN, before any monomial is built.
     """
     delta = _check_content(delta)
-    if sum(1 for x in delta if x) > max_parts:
+    used = sum(1 for x in delta if x)
+    if used > max_parts:
         raise ValueError(
-            "%d generators in use; raise max_parts to allow it"
-            % sum(1 for x in delta if x)
+            "%d generators in use; at most %d are supported" % (used, max_parts)
         )
     n = sum(delta)
     span = _span_estimate(delta)
@@ -307,11 +334,15 @@ class Component:
         return {self.span[t]: rem[t] for t in sorted(rem)}
 
 
-@cache
-def component(delta: tuple) -> Component:
+def component(delta) -> Component:
     """Exact quotient model; refuses total degree above 8, a far smaller
     bound than the modular path's."""
-    delta = _check_content(delta)
+    # checked before the cache, which would take (2.0, 2) for (2, 2)
+    return _component(_check_content(delta))
+
+
+@cache
+def _component(delta: tuple) -> Component:
     n = sum(delta)
     if n > 8:
         raise InfeasibleError(

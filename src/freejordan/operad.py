@@ -84,7 +84,8 @@ def consequences(n: int) -> tuple:
                 out.append(elt)
     for u in ((n,), (n - 1, n)):
         for lower in consequences(n - len(u)):
-            out.append({monomial_key(m[0], m[1] + (u,)): c for m, c in lower.items()})
+            # the appended factor leaves the key canonical, as in relation_rows
+            out.append({(m[0], m[1] + (u,)): c for m, c in lower.items()})
     return tuple(out)
 
 

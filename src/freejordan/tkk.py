@@ -672,7 +672,8 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
             dsum = _deg_add(d1, d2)
             if sum(dsum) > N:
                 continue
-            prod = dict(_mul_normal(*sorted((m1, m2))))
+            shift, terms = _mul_normal(*sorted((m1, m2)))
+            prod = {m: Fraction(c, 1 << shift) for m, c in terms}
             coords = comps[dsum].coords(prod)
             entry = {index[(dsum, m)]: c for m, c in coords.items()}
             if entry:

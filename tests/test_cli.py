@@ -285,6 +285,13 @@ def test_cli_multidegree_garbage(capsys):
     assert code == 2
 
 
+def test_cli_multidegree_states_the_generator_limit(capsys):
+    code, _, err = run_cli(capsys, "multidegree", "--delta", "1,1,1,1")
+    assert code == 2
+    assert "4 generators in use; at most 3 are supported" in err
+    assert "max_parts" not in err
+
+
 def test_cli_two_gen_table(capsys):
     code, out, _ = run_cli(capsys, "two-gen", "--max-degree", "8",
                            "--span-bound", "8", "--json")

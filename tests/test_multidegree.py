@@ -1,12 +1,20 @@
 import itertools
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freejordan import tables
 from freejordan.errors import InfeasibleError
 from freejordan.multidegree import (
     _jordan_row,
+    _mul,
+    _mul_normal,
+    _slot_splits,
+    _unit_factors,
     component,
     multidegree_dim,
     normal_monomials,
@@ -14,7 +22,13 @@ from freejordan.multidegree import (
 )
 from freejordan.operad import consequences, jord_module
 from freejordan.partitions import kostka
-from freejordan.trees import monomial_slot_labels
+from freejordan.trees import (
+    monomial_key,
+    monomial_slot_labels,
+    monomial_to_tree,
+    node,
+    straighten,
+)
 
 
 def test_small_dimensions():
@@ -90,6 +104,120 @@ def test_relation_rows_are_integral():
     rows += [r for n in range(4, 8) for r in consequences(n)]
     rows += relation_rows((3, 2, 1))
     assert all(type(c) is int for r in rows for c in r.values())
+
+
+# Fraction reference for the integer rows: products straightened pair by
+# pair, each row scaled by the lcm of its denominators.
+def _ref_mul(e1: dict, e2: dict) -> dict:
+    out = {}
+    for m1, c1 in e1.items():
+        for m2, c2 in e2.items():
+            t = node(monomial_to_tree(m1), monomial_to_tree(m2))
+            for m, d in straighten(t).items():
+                out[m] = out.get(m, 0) + c1 * c2 * d
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_row(b1, b2, b3, b4) -> dict:
+    e1, e2, e3, e4 = ({b: Fraction(1)} for b in (b1, b2, b3, b4))
+    out = {}
+    for term, sign in (
+        (_ref_mul(_ref_mul(_ref_mul(e1, e2), e3), e4), 1),
+        (_ref_mul(_ref_mul(_ref_mul(e2, e4), e3), e1), 1),
+        (_ref_mul(_ref_mul(_ref_mul(e1, e4), e3), e2), 1),
+        (_ref_mul(_ref_mul(e1, e2), _ref_mul(e3, e4)), -1),
+        (_ref_mul(_ref_mul(e1, e3), _ref_mul(e2, e4)), -1),
+        (_ref_mul(_ref_mul(e1, e4), _ref_mul(e2, e3)), -1),
+    ):
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + sign * c
+    out = {m: c for m, c in out.items() if c}
+    scale = lcm(*(c.denominator for c in out.values()))
+    return {m: c * scale for m, c in out.items()}
+
+
+@cache
+def _ref_relation_rows(delta: tuple) -> tuple:
+    """relation_rows on the reference: the same instances, appends keyed
+    through monomial_key."""
+    if sum(delta) < 4:
+        return ()
+    rows, seen = [], set()
+    for s1, s2, s3, s4 in _slot_splits(delta):
+        for v3, v1, v2, v4 in itertools.product(
+            *(normal_monomials(s) for s in (s3, s1, s2, s4))
+        ):
+            key = (tuple(sorted((v1, v2, v4))), v3)
+            if key not in seen:
+                seen.add(key)
+                rows.append(_ref_row(v1, v2, v3, v4))
+    for u, content in _unit_factors(len(delta)):
+        lower = tuple(a - b for a, b in zip(delta, content))
+        if min(lower) >= 0 and sum(lower) >= 4:
+            for r in _ref_relation_rows(lower):
+                rows.append({monomial_key(m[0], m[1] + (u,)): c for m, c in r.items()})
+    return tuple(r for r in rows if r)
+
+
+def test_mul_normal_is_straighten_over_a_power_of_two():
+    # degree 6 on two generators is the first place a product is halved
+    mons = [m for a in range(6) for b in range(6 - a) if a + b
+            for m in normal_monomials((a, b))]
+    halved = 0
+    for m1, m2 in itertools.combinations_with_replacement(mons, 2):
+        if len(monomial_slot_labels(m1) + monomial_slot_labels(m2)) != 6:
+            continue
+        s, terms = _mul_normal(*sorted((m1, m2)))
+        tree = node(monomial_to_tree(m1), monomial_to_tree(m2))
+        assert {m: Fraction(c, 2**s) for m, c in terms} == straighten(tree)
+        assert all(type(c) is int for _, c in terms)
+        assert s == 0 or any(c % 2 for _, c in terms)  # the least power
+        halved += s > 0
+    assert halved == 15
+
+
+def test_mul_rescales_its_running_sum():
+    # x*x is integral and y*x is halved, so the sum of x*x is rescaled
+    x, y = normal_monomials((1, 2))[:2]
+    assert (_mul_normal(x, x)[0], _mul_normal(*sorted((x, y)))[0]) == (0, 1)
+    s, out = _mul((0, {x: 1, y: 3}), (1, {x: 1}))
+    want = _ref_mul({x: Fraction(1), y: Fraction(3)}, {x: Fraction(1, 2)})
+    assert {m: Fraction(c, 2**s) for m, c in out.items()} == want
+
+
+@st.composite
+def _row_instances(draw):
+    n = draw(st.integers(4, 8))
+    g = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=g - 1, max_size=g - 1)))
+    delta = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    split = draw(st.sampled_from(list(_slot_splits(delta))))
+    return tuple(draw(st.sampled_from(normal_monomials(s))) for s in split)
+
+
+@given(_row_instances())
+@settings(max_examples=150, deadline=None)
+def test_jordan_row_matches_the_fraction_reference(slots):
+    row = _jordan_row(*slots)
+    assert row == _ref_row(*slots)
+    assert all(type(c) is int for c in row.values())
+
+
+def test_relation_rows_match_the_fraction_reference():
+    for n in range(4, 8):
+        for delta in itertools.product(range(n + 1), repeat=3):
+            if sum(delta) == n:
+                assert relation_rows(delta) == _ref_relation_rows(delta), delta
+
+
+def test_nonintegral_contents_are_refused():
+    for delta in [(3.7, 2), (2.0, 2), (True, 2), ("3", 2)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            multidegree_dim(delta)
+    component((2, 2))  # cached first: a float twin must not hit the cache
+    for delta in [(2.5, 2), (2.0, 2), (True, 1)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            component(delta)
 
 
 def test_prime_independence():

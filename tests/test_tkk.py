@@ -1,5 +1,6 @@
 """Derivations, the exterior-square quotient, tag, and homology."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freejordan.errors import InfeasibleError
+from freejordan.multidegree import component
 from freejordan.tables import TWO_GEN_DIMS
 from freejordan.tkk import (
     AlgebraFD,
@@ -21,6 +23,7 @@ from freejordan.tkk import (
     tag,
     truncated_free_jordan,
 )
+from freejordan.trees import monomial_to_tree, node, straighten
 
 
 def graded_dims(J):
@@ -47,6 +50,32 @@ def test_three_generator_truncation_dims():
     J = truncated_free_jordan(3, 4)
     J.check()
     assert graded_dims(J) == [3, 6, 18, 45]
+
+
+@pytest.mark.parametrize("g, N", [(3, 3), (1, 6)])
+def test_truncated_structure_constants_match_straightening(g, N):
+    # every product straightened in Fractions and reduced in its component
+    J = truncated_free_jordan(g, N)
+    contents = [
+        d
+        for total in range(1, N + 1)
+        for d in itertools.product(range(total + 1), repeat=g)
+        if sum(d) == total
+    ]
+    basis = [(d, m) for d in contents for m in component(d).basis]
+    assert J.degree == tuple(d for d, _ in basis)
+    index = {bm: t for t, bm in enumerate(basis)}
+    for s, (d1, m1) in enumerate(basis):
+        for t, (d2, m2) in enumerate(basis):
+            dsum = tuple(a + b for a, b in zip(d1, d2))
+            if sum(dsum) > N:
+                assert (s, t) not in J.table
+                continue
+            tree = node(monomial_to_tree(m1), monomial_to_tree(m2))
+            prod = {m: Fraction(c) for m, c in straighten(tree).items()}
+            coords = component(dsum).coords(prod)
+            want = {index[(dsum, m)]: c for m, c in coords.items()}
+            assert J.product(s, t) == want, (s, t)
 
 
 def test_one_generator_truncation_is_powers():
