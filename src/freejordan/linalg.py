@@ -280,20 +280,19 @@ class RankAccumulator:
         return out
 
 
-def modular_ranks(blocks, ncols: int, primes, cap=None) -> dict:
+def modular_ranks(blocks, ncols: int, primes) -> dict:
     """{p: rank over F_p} of the rows of the integer 2d arrays `blocks`.
 
-    Every block goes to one RankAccumulator per prime, in order.  `cap` is
-    a known bound on the rank (default ncols): a prime that reaches it
-    takes no more blocks, and none is pulled once every prime has.
+    Every block goes to one RankAccumulator per prime, in order.  A prime
+    whose rank reaches ncols takes no more blocks, and none is pulled once
+    every prime has.
     """
-    cap = ncols if cap is None else cap
     accs = [RankAccumulator(ncols, p) for p in primes]
     for block in blocks:
         for acc in accs:
-            if acc.rank < cap:
+            if not acc.is_full:
                 acc.add(block)
-        if all(acc.rank >= cap for acc in accs):
+        if all(acc.is_full for acc in accs):
             break
     return {acc.p: acc.rank for acc in accs}
 

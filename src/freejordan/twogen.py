@@ -6,8 +6,12 @@ under the symmetrized product ab = (a.b + b.a)/2 it is the subalgebra of the
 free associative algebra generated by the two letters, and that subalgebra
 is exactly the fixed space of the reversal antiautomorphism.  Degree-n words
 are packed into bitmask integers (bit per position, most significant bit
-first), which keeps the fixed-space construction and the Jordan spanning
-rank cheap enough to be pushed through degree 14.
+first).  The Jordan spanning rank is certified block by block, one block
+per letter content: the expansions of normal Jordan monomials are int64
+arrays of word masks, counted into rows, and since every such row is
+reversal-fixed (which each batch checks) a block is ranked on one column
+per reversal orbit {w, reverse(w)}, about half of its words.  That keeps
+the rank cheap enough to be pushed through degree 14.
 
 The graded dimension of the quotient that measures inner derivations
 follows the closed counting formula
@@ -100,71 +104,67 @@ def b_dim_two_gen(n: int) -> int:
     return 2 ** n - reversible_dim(n) - necklace_count(n) + bracelet_count(n)
 
 
-def _sym_concat(u: dict, v: dict, deg_u: int, deg_v: int) -> dict:
-    """Twice the symmetrized product of two expanded elements.
-
-    Working with 2*ab = a.b + b.a keeps all coefficients integral; the
-    overall power of two never affects a rank.
-    """
-    out = {}
-    for mu, cu in u.items():
-        for mv, cv in v.items():
-            c = cu * cv
-            k = (mu << deg_v) | mv
-            out[k] = out.get(k, 0) + c
-            k = (mv << deg_u) | mu
-            out[k] = out.get(k, 0) + c
-    return out
+def _reversal_orbits(n: int, ones: int) -> int:
+    """Reversal orbits among the degree-n words with `ones` second letters:
+    half of the words plus half of the palindromes."""
+    palindromes = 0 if n % 2 == 0 and ones % 2 else comb(n // 2, ones // 2)
+    return (comb(n, ones) + palindromes) // 2
 
 
 def _content_rows(n: int, ones: int):
     """Expansions of normal Jordan monomials with `ones` second letters.
 
     A normal monomial is a head pair followed by factors of degree one or
-    two; the walk extends a partial expansion one factor at a time so
-    shared prefixes are expanded once, pruning on the remaining letter
-    budget.
+    two.  An expansion is an int64 array of word masks with repeats: the
+    coefficient of a word is its count, and working with 2ab = a.b + b.a
+    keeps it integral (the overall power of two never affects a rank).
+    The walk extends a partial expansion one factor at a time, so shared
+    prefixes are expanded once, pruning on the remaining letter budget.
     """
-    letters = ({0: 1}, {1: 1})
+    letters = (np.array([0]), np.array([1]))
     if n == 1:
         yield letters[ones]
         return
-    pairs = ((0, 0), (0, 1), (1, 1))
+    pairs = {(i, j): np.array([(i << 1) | j, (j << 1) | i])
+             for i, j in ((0, 0), (0, 1), (1, 1))}
 
-    def extend(state: dict, deg: int, y_used: int):
+    # depth-first, children in the order: pair factors xx, xy, yy, then x, y
+    stack = [(f, 2, a + b) for (a, b), f in reversed(pairs.items())
+             if a + b <= ones and 2 - a - b <= n - ones]
+    while stack:
+        state, deg, y_used = stack.pop()
         if deg == n:
             yield state
-            return
+            continue
         y_left = ones - y_used
         x_left = (n - ones) - (deg - y_used)
+        factors = []
         if deg + 2 <= n:
-            for i, j in pairs:
-                dy = i + j
-                if dy <= y_left and 2 - dy <= x_left:
-                    factor = _sym_concat(letters[i], letters[j], 1, 1)
-                    yield from extend(
-                        _sym_concat(state, factor, deg, 2), deg + 2, y_used + dy
-                    )
-        for i in (0, 1):
-            if (y_left if i else x_left) >= 1:
-                yield from extend(
-                    _sym_concat(state, letters[i], deg, 1), deg + 1, y_used + i
-                )
-
-    for a, b in pairs:
-        dy = a + b
-        if dy <= ones and 2 - dy <= n - ones:
-            yield from extend(_sym_concat(letters[a], letters[b], 1, 1), 2, dy)
+            factors += [(f, 2, i + j) for (i, j), f in pairs.items()
+                        if i + j <= y_left and 2 - i - j <= x_left]
+        factors += [(letters[i], 1, i) for i in (0, 1)
+                    if (y_left if i else x_left) >= 1]
+        for f, df, dy in reversed(factors):
+            # twice state o f: the words of state.f, then those of f.state
+            words = np.concatenate(
+                ((state[:, None] << df) | f, (f[:, None] << deg) | state), axis=None
+            )
+            stack.append((words, deg + df, y_used + dy))
 
 
-@cache
-def _fixed_dims_by_weight(n: int) -> tuple:
-    """Reversal-orbit counts per second-letter count, degrees packed as bits."""
-    counts = [0] * (n + 1)
-    for mask in range(2 ** n):
-        if mask <= _reverse_mask(mask, n):
-            counts[bin(mask).count("1")] += 1
-    return tuple(counts)
+def _content_columns(n: int, ones: int):
+    """(column, mirror, orbits) for the degree-n words with `ones` second
+    letters, in increasing order: column[w] is the column of word w (-1
+    for a word of another content), mirror[c] the column of the reverse
+    of column c's word, and orbits the columns of the smaller word of each
+    reversal orbit."""
+    words = np.array([m for m in range(2 ** n) if m.bit_count() == ones])
+    rev = np.zeros_like(words)
+    for i in range(n):
+        rev |= ((words >> i) & 1) << (n - 1 - i)
+    column = np.full(2 ** n, -1)
+    column[words] = np.arange(len(words))
+    return column, column[rev], np.flatnonzero(words <= rev)
 
 
 def _block_ranks(n: int, ones: int, primes) -> dict:
@@ -172,24 +172,44 @@ def _block_ranks(n: int, ones: int, primes) -> dict:
 
     Expansions of monomials with a fixed letter content only touch words of
     that content, so the full expansion matrix is block diagonal and each
-    block can be ranked on its own.  Rows stay inside the reversal-fixed
-    subspace, which caps the block rank at the per-content orbit count; row
-    generation stops early once every prime reaches the cap.
+    block can be ranked on its own.  Every row is the expansion of a Jordan
+    monomial, hence reversal-fixed: its coefficients on w and on reverse(w)
+    agree.  The block is therefore ranked on one column per reversal orbit
+    {w, reverse(w)}, the smaller word's: on the fixed space that projection
+    is injective (a fixed vector vanishing on every orbit's smaller word
+    vanishes on its mirror too), so the rank is unchanged, and the orbit
+    count is the column count, at which row generation stops.
+
+    The symmetry is checked, not assumed: each batch is counted on all the
+    words of its content first, and ArithmeticError is raised unless every
+    word and its reverse carry the same coefficient in every row.
     """
-    cols = [m for m in range(2 ** n) if bin(m).count("1") == ones]
-    index = {m: i for i, m in enumerate(cols)}
-    target = _fixed_dims_by_weight(n)[ones]
+    column, mirror, orbits = _content_columns(n, ones)
+    nwords = len(mirror)
+    # every word is an orbit's smaller word or the reverse of one
+    partners = mirror[orbits]
 
     def batches():
         rows = _content_rows(n, ones)
-        while chunk := list(islice(rows, min(128, max(16, target)))):
-            batch = np.zeros((len(chunk), len(cols)), dtype=np.int64)
+        while chunk := list(islice(rows, min(128, max(16, len(orbits))))):
+            full = np.zeros((len(chunk), nwords), dtype=np.int64)
             for k, row in enumerate(chunk):
-                for mask, c in row.items():
-                    batch[k, index[mask]] = c
-            yield batch
+                cols = column[row]
+                if (cols < 0).any():
+                    raise ArithmeticError(
+                        "degree %d expansion leaves the content with %d second letters"
+                        % (n, ones)
+                    )
+                full[k] = np.bincount(cols, minlength=nwords)
+            block = full[:, orbits]
+            if not np.array_equal(block, full[:, partners]):
+                raise ArithmeticError(
+                    "degree %d expansion with %d second letters is not reversal-fixed"
+                    % (n, ones)
+                )
+            yield block
 
-    return modular_ranks(batches(), len(cols), primes, cap=target)
+    return modular_ranks(batches(), len(orbits), primes)
 
 
 def jordan_span_dim(n: int, primes=None) -> int:
@@ -197,13 +217,15 @@ def jordan_span_dim(n: int, primes=None) -> int:
     refuses degrees above 14."""
     if n < 1:
         raise ValueError("degree must be positive")
+    # the widest content block has n//2 second letters
+    width = _reversal_orbits(n, n // 2)
     if n > 14:
         raise InfeasibleError(
-            "degree %d Jordan span needs a %d-column expansion matrix" % (n, 2 ** n),
-            estimate="2^%d columns, rank target %d" % (n, reversible_dim(n)),
+            "degree %d Jordan span needs a %d-column block (the reversal orbits "
+            "of words with %d second letters)" % (n, width, n // 2),
+            estimate="%d orbit columns, rank target %d" % (width, reversible_dim(n)),
         )
-    # the widest content block has n//2 second letters
-    primes = choose_primes(comb(n, n // 2), n, primes)
+    primes = choose_primes(width, n, primes)
     total = 0
     for ones in range(n // 2 + 1):
         # swapping the two letters matches the block with its mirror

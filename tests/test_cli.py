@@ -3,10 +3,12 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 import freejordan.cache as cache_mod
 import freejordan.cli as cli_mod
+import freejordan.twogen as twogen_mod
 from freejordan.cache import cache_get, cache_put, cached
 from freejordan.cli import main
 from freejordan.errors import UnluckyPrimeError
@@ -391,6 +393,18 @@ def test_cli_arithmetic_error_exits_two(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: rank disagreement")
     assert "1048571" in err
+    assert "Traceback" not in err
+
+
+def test_cli_two_gen_rows_not_reversal_fixed_exit_two(capsys, monkeypatch):
+    def one_sided(n, ones):
+        yield np.array([(1 << ones) - 1])  # its reverse is absent
+
+    monkeypatch.setattr(twogen_mod, "_content_rows", one_sided)
+    code, _, err = run_cli(capsys, "two-gen", "--max-degree", "4", "--no-predictions")
+    assert code == 2
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "reversal-fixed" in err
     assert "Traceback" not in err
 
 

@@ -141,14 +141,16 @@ def test_modular_ranks_match_gauss_and_stop_at_cap(m, data):
     pulled = []
 
     def counted():
-        for block in blocks:
+        # an identity block makes the rank full; the block after it is never pulled
+        for block in blocks + [np.eye(ncols, dtype=np.int64), rows]:
             pulled.append(block)
             yield block
 
-    assert modular_ranks(counted(), ncols, primes, cap=r) == {p: r for p in primes}
-    # the first block after which the rows so far have rank r ends the feed
-    first = next(k for k in range(1, len(blocks) + 1)
-                 if gauss_rank_oracle(rows[: sum(map(len, blocks[:k]))].tolist()) == r)
+    assert modular_ranks(counted(), ncols, primes) == {p: ncols for p in primes}
+    # the first block after which the rows so far have rank ncols ends the feed
+    first = next((k for k in range(1, len(blocks) + 1)
+                  if gauss_rank_oracle(rows[: sum(map(len, blocks[:k]))].tolist()) == ncols),
+                 len(blocks) + 1)
     assert len(pulled) == first
 
 

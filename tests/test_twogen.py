@@ -3,13 +3,18 @@
 import os
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freejordan.twogen as twogen_mod
 from freejordan.errors import InfeasibleError
 from freejordan.tables import TWO_GEN_B_DIMS, TWO_GEN_DIMS
 from freejordan.twogen import (
+    _content_columns,
+    _content_rows,
+    _reversal_orbits,
     _reverse_mask,
     b_dim_two_gen,
     bracelet_count,
@@ -86,6 +91,96 @@ def test_b_dim_20_value():
     assert b_dim_two_gen(20) == 498300
 
 
+def _ref_sym_concat(u: dict, v: dict, deg_u: int, deg_v: int) -> dict:
+    """Twice the symmetrized product of two expanded elements, as dicts."""
+    out = {}
+    for mu, cu in u.items():
+        for mv, cv in v.items():
+            c = cu * cv
+            k = (mu << deg_v) | mv
+            out[k] = out.get(k, 0) + c
+            k = (mv << deg_u) | mu
+            out[k] = out.get(k, 0) + c
+    return out
+
+
+def _ref_content_rows(n: int, ones: int):
+    """The dict expansion of the normal monomials with `ones` second letters,
+    in the walk order: head pair, then factors of degree two, then one."""
+    letters = ({0: 1}, {1: 1})
+    if n == 1:
+        yield letters[ones]
+        return
+    pairs = ((0, 0), (0, 1), (1, 1))
+
+    def extend(state: dict, deg: int, y_used: int):
+        if deg == n:
+            yield state
+            return
+        y_left = ones - y_used
+        x_left = (n - ones) - (deg - y_used)
+        if deg + 2 <= n:
+            for i, j in pairs:
+                dy = i + j
+                if dy <= y_left and 2 - dy <= x_left:
+                    factor = _ref_sym_concat(letters[i], letters[j], 1, 1)
+                    yield from extend(
+                        _ref_sym_concat(state, factor, deg, 2), deg + 2, y_used + dy
+                    )
+        for i in (0, 1):
+            if (y_left if i else x_left) >= 1:
+                yield from extend(
+                    _ref_sym_concat(state, letters[i], deg, 1), deg + 1, y_used + i
+                )
+
+    for a, b in pairs:
+        dy = a + b
+        if dy <= ones and 2 - dy <= n - ones:
+            yield from extend(_ref_sym_concat(letters[a], letters[b], 1, 1), 2, dy)
+
+
+def test_content_rows_match_dict_reference():
+    for n in range(1, 11):
+        for ones in range(n + 1):
+            rows = list(_content_rows(n, ones))
+            ref = list(_ref_content_rows(n, ones))
+            assert len(rows) == len(ref), (n, ones)
+            for row, expected in zip(rows, ref):
+                assert row.dtype == np.int64
+                words, counts = np.unique(row, return_counts=True)
+                assert dict(zip(words.tolist(), counts.tolist())) == expected
+
+
+def test_orbit_columns_sum_to_reversible_dim():
+    for n in range(1, 17):
+        total = 0
+        for ones in range(n // 2 + 1):
+            column, mirror, orbits = _content_columns(n, ones)
+            words = np.flatnonzero(column >= 0)
+            assert len(orbits) == _reversal_orbits(n, ones)
+            assert [_reverse_mask(int(w), n) for w in words] == words[mirror].tolist()
+            # swapping the two letters matches the content with its mirror
+            total += (1 if 2 * ones == n else 2) * len(orbits)
+        assert total == reversible_dim(n)
+
+
+def _one_sided_rows(n, ones):
+    # 0..01..1 without its reverse 1..10..0: not reversal-fixed for 0 < ones < n
+    yield np.array([(1 << ones) - 1])
+
+
+def _off_content_rows(n, ones):
+    # a word with one second letter too many
+    yield np.array([(1 << (ones + 1)) - 1])
+
+
+@pytest.mark.parametrize("rows", [_one_sided_rows, _off_content_rows])
+def test_span_refuses_rows_it_cannot_trust(monkeypatch, rows):
+    monkeypatch.setattr(twogen_mod, "_content_rows", rows)
+    with pytest.raises(ArithmeticError, match="reversal-fixed|leaves the content"):
+        jordan_span_dim(4)
+
+
 def test_span_equals_reversible_in_low_degree():
     for n in range(2, 11):
         assert jordan_span_dim(n) == reversible_dim(n)
@@ -107,7 +202,7 @@ def test_span_degree_twelve():
 
 
 def test_span_refuses_past_bound():
-    with pytest.raises(InfeasibleError) as exc:
+    with pytest.raises(InfeasibleError, match="3235-column block") as exc:
         jordan_span_dim(15)
     assert exc.value.estimate
 
