@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,11 +62,12 @@ class AlgebraFD:
 
     table maps a basis pair (i, j) to {k: coefficient}; only nonzero
     products are stored.  parity is a 0/1 bit per basis vector.  degree, if
-    present, is one tuple per basis vector and products must add degrees.
-    kind is "jordan" (super-commutative) or "lie" (super-anticommutative
-    with super-Jacobi); check() verifies the claimed kind.  Basis indices
-    outside 0..dim-1, and parity or degree lists of another length than
-    dim, raise ValueError.
+    present, is one tuple per basis vector, and sl2_weight, if present, one
+    integer per basis vector; products must add both (check() and
+    ce_homology verify it).  kind is "jordan" (super-commutative) or "lie"
+    (super-anticommutative with super-Jacobi); check() verifies the claimed
+    kind.  Basis indices outside 0..dim-1, and parity, degree or weight
+    lists of another length than dim, raise ValueError.
     """
 
     def __init__(self, kind, labels, table, parity=None, degree=None, sl2_weight=None):
@@ -89,6 +91,10 @@ class AlgebraFD:
                 )
         self.degree = degree
         self.sl2_weight = tuple(sl2_weight) if sl2_weight else None
+        if self.sl2_weight is not None and len(self.sl2_weight) != self.dim:
+            raise ValueError(
+                "%d sl2 weights for %d basis vectors" % (len(self.sl2_weight), self.dim)
+            )
         self.table = {}
         for (i, j), prod in table.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim
@@ -119,15 +125,24 @@ class AlgebraFD:
                 m[k][j] = c
         return m
 
-    def _check_degrees(self):
+    def _check_grading(self):
+        """Every product must add degrees and sl2 weights; raises ValueError."""
         for (i, j), prod in self.table.items():
-            want = _deg_add(self.degree[i], self.degree[j])
             for k in prod:
-                if self.degree[k] != want:
-                    raise ValueError(
-                        "product %s*%s hits %s outside degree %s"
-                        % (self.labels[i], self.labels[j], self.labels[k], want)
-                    )
+                if self.degree is not None:
+                    want = _deg_add(self.degree[i], self.degree[j])
+                    if self.degree[k] != want:
+                        raise ValueError(
+                            "product %s*%s hits %s outside degree %s"
+                            % (self.labels[i], self.labels[j], self.labels[k], want)
+                        )
+                if self.sl2_weight is not None:
+                    want = self.sl2_weight[i] + self.sl2_weight[j]
+                    if self.sl2_weight[k] != want:
+                        raise ValueError(
+                            "product %s*%s hits %s outside sl2 weight %s"
+                            % (self.labels[i], self.labels[j], self.labels[k], want)
+                        )
 
     def check(self, jacobi: str = "full") -> None:
         """Verify the structure the kind claims; raises ValueError.
@@ -136,8 +151,7 @@ class AlgebraFD:
         "sample" tests 500 random triples drawn with seed 0 (for large
         algebras).
         """
-        if self.degree is not None:
-            self._check_degrees()
+        self._check_grading()
         sign = lambda i, j: -1 if (self.parity[i] and self.parity[j]) else 1
         for i in range(self.dim):
             for j in range(self.dim):
@@ -681,27 +695,27 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
     return AlgebraFD("jordan", labels, table, degree=degree)
 
 
-def _chain_words(L: AlgebraFD, k: int) -> list:
-    """Sorted index words of length k; even indices never repeat."""
-    out = []
+def _extend_blocks(L: AlgebraFD, blocks: dict, letters: dict, keep) -> dict:
+    """Chain words one letter longer, split by (weight, degree) key.
 
-    def walk(start: int, word: tuple):
-        if len(word) == k:
-            out.append(word)
-            return
-        for i in range(start, L.dim):
-            walk(i if L.parity[i] else i + 1, word + (i,))
-
-    walk(0, ())
-    return out
-
-
-def _word_key(L: AlgebraFD, word: tuple):
-    w = sum(L.sl2_weight[i] for i in word) if L.sl2_weight else 0
-    if L.degree is None:
-        return (w, None)
-    # summed degree tuple; the empty word sits in degree zero, keyed ()
-    return (w, tuple(map(sum, zip(*(L.degree[i] for i in word)))))
+    blocks and letters map a key to its words and to its sorted letters; a
+    word takes letters from its last one on, and an even letter never
+    repeats.  Each key is added once per pair of a block and a letter
+    group; keys outside keep (when not None) are never built.
+    """
+    out = {}
+    for key, words in blocks.items():
+        for lkey, group in letters.items():
+            new = (key[0] + lkey[0],
+                   None if key[1] is None else _deg_add(key[1], lkey[1]))
+            if keep is not None and new not in keep:
+                continue
+            dest = out.setdefault(new, [])
+            for w in words:
+                last = w[-1]
+                start = bisect_left(group, last if L.parity[last] else last + 1)
+                dest.extend(w + (i,) for i in group[start:])
+    return {key: ws for key, ws in out.items() if ws}
 
 
 def _diff_word(L: AlgebraFD, word: tuple) -> dict:
@@ -766,49 +780,71 @@ class HomologyResult:
 def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
     """Homology of the (super) Chevalley-Eilenberg complex, exactly.
 
-    The differential is verified to square to zero on every chain word up
-    to degree kmax + 1 before any rank is taken.
+    The bracket must add sl2 weight and degree (checked first; ValueError
+    otherwise), so the differential preserves the summed (weight, degree)
+    key of a chain word and the complex splits into one block per key.
+    Chain words are built block by block, level k from level k - 1.
+    Levels 0..kmax are built whole.  Level kmax + 1 serves only rank
+    d_{kmax+1} on the blocks of level kmax, so only its words with a key
+    that occurs at level kmax are built: every other top-level word maps
+    into an empty block, so its differential is 0.  The differential is
+    verified to square to zero on every word built (the words left out
+    have d = 0, so d^2 = 0 holds on them too), block by block before that
+    block is ranked.  Ranks are exact over Q; a block of level k stops
+    taking rows once its rank reaches dim C_{k-1}(key) - rank d_{k-1}(key),
+    since d^2 = 0 puts the image of d_k inside the kernel of d_{k-1}.
     """
     if L.kind != "lie":
         raise ValueError("homology asks for a lie-kind algebra")
-    words = [_chain_words(L, k) for k in range(kmax + 2)]
-    diffs = [{w: _diff_word(L, w) for w in words[k]} for k in range(kmax + 2)]
-    for k in range(2, kmax + 2):
-        for w, img in diffs[k].items():
-            acc = {}
-            for tw, c in img.items():
-                for tw2, c2 in diffs[k - 1][tw].items():
-                    v = acc.get(tw2, F0) + c * c2
-                    if v:
-                        acc[tw2] = v
-                    else:
-                        acc.pop(tw2, None)
-            if acc:
-                raise ValueError("differential does not square to zero; not Lie")
-    # block split: the differential preserves sl2 weight and degree
-    blocks = []  # per k: {key: words}
-    for ws in words:
-        by_key = {}
-        for w in ws:
-            by_key.setdefault(_word_key(L, w), []).append(w)
-        blocks.append(by_key)
-    ranks = [dict() for _ in range(kmax + 2)]  # per k: {key: rank}
+    L._check_grading()
+    weight = L.sl2_weight or (0,) * L.dim
+    letters = {}
+    for i in range(L.dim):
+        lkey = (weight[i], None if L.degree is None else L.degree[i])
+        letters.setdefault(lkey, []).append(i)
+    # the empty word sits in degree zero, keyed ()
+    blocks = {(0, None if L.degree is None else ()): [()]}
+    diffs = {(): {}}
+    sizes = [{key: len(ws) for key, ws in blocks.items()}]
+    ranks = [{}]  # per k: {key: rank of d_k on that block}
     for k in range(1, kmax + 2):
-        for key, ws in blocks[k].items():
-            tws = blocks[k - 1].get(key, [])
+        keep = blocks if k == kmax + 1 else None
+        if k == 1:
+            level = {lkey: [(i,) for i in group] for lkey, group in letters.items()
+                     if keep is None or lkey in keep}
+        else:
+            level = _extend_blocks(L, blocks, letters, keep)
+        level_diffs, level_ranks = {}, {}
+        for key, ws in level.items():
+            imgs = [_diff_word(L, w) for w in ws]
+            for img in imgs:
+                acc = {}
+                for tw, c in img.items():
+                    _add_into(acc, diffs[tw], c)
+                if acc:
+                    raise ValueError("differential does not square to zero; not Lie")
+            tws = blocks.get(key, ())
+            bound = len(tws) - ranks[k - 1].get(key, 0)
             tindex = {tw: t for t, tw in enumerate(tws)}
             red = ExactRowReducer()
-            for w in ws:
-                img = diffs[k][w]
+            for img in imgs:
+                if red.rank >= bound:
+                    break
                 if img:
                     red.add({tindex[tw]: c for tw, c in img.items()})
-            ranks[k][key] = red.rank
+            level_ranks[key] = red.rank
+            if k <= kmax:
+                level_diffs.update(zip(ws, imgs))
+        ranks.append(level_ranks)
+        if k <= kmax:
+            sizes.append({key: len(ws) for key, ws in level.items()})
+            blocks, diffs = level, level_diffs
     dims, weight_dims, degree_dims = [], [], []
     for k in range(kmax + 1):
         total = 0
         wdims, ddims = {}, {}
-        for key, ws in blocks[k].items():
-            h = len(ws) - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
+        for key, n in sizes[k].items():
+            h = n - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
             if h < 0:
                 raise RuntimeError("negative block dimension; rank bookkeeping bug")
             if not h:
@@ -822,7 +858,7 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
         degree_dims.append(dict(sorted(ddims.items())))
     return HomologyResult(
         dims=tuple(dims),
-        chain_dims=tuple(len(words[k]) for k in range(kmax + 1)),
+        chain_dims=tuple(sum(sizes[k].values()) for k in range(kmax + 1)),
         weight_dims=tuple(weight_dims) if L.sl2_weight else None,
         degree_dims=tuple(degree_dims) if L.degree is not None else None,
     )

@@ -1,6 +1,7 @@
 """Derivations, the exterior-square quotient, tag, and homology."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freejordan import tkk
 from freejordan.errors import InfeasibleError
+from freejordan.linalg import ExactRowReducer
 from freejordan.multidegree import component
 from freejordan.tables import TWO_GEN_DIMS
 from freejordan.tkk import (
     AlgebraFD,
+    HomologyResult,
     b_space,
     ce_homology,
     diagonal_jordan,
@@ -302,6 +306,43 @@ def test_homology_rejects_a_non_lie_table():
         ce_homology(bad, 2)
 
 
+def test_homology_rejects_a_graded_non_lie_table():
+    # the same table graded by degree and weight: every key is kept, and the
+    # Jacobi failure sits in the top-level block of the word abc, keyed like ab
+    bad = AlgebraFD(
+        "lie",
+        ("a", "b", "c"),
+        {(0, 1): {2: 1}, (1, 0): {2: -1}, (0, 2): {0: 1}, (2, 0): {0: -1}},
+        degree=[1, -1, 0],
+        sl2_weight=[2, -2, 0],
+    )
+    with pytest.raises(ValueError, match="square"):
+        ce_homology(bad, 2)
+
+
+@pytest.mark.parametrize(
+    "degree, weight, what",
+    [([1, 1, 2], [2, 0, 0], "weight"), ([1, 1, 3], [2, 0, 2], "degree")],
+)
+def test_a_bracket_off_the_grading_is_refused(degree, weight, what):
+    # [a, b] = c, with c off a + b in one of the two gradings
+    L = AlgebraFD(
+        "lie",
+        ("a", "b", "c"),
+        {(0, 1): {2: 1}, (1, 0): {2: -1}},
+        degree=degree,
+        sl2_weight=weight,
+    )
+    for run in (L.check, lambda: ce_homology(L, 2)):
+        with pytest.raises(ValueError, match=r"product a\*b hits c outside .*%s" % what):
+            run()
+
+
+def test_sl2_weights_of_another_length_are_refused():
+    with pytest.raises(ValueError, match="sl2 weights"):
+        AlgebraFD("lie", ("a", "b"), {}, sl2_weight=[0])
+
+
 def test_heisenberg_homology_dims_and_weights():
     L = tag(truncated_free_jordan(1, 1, parities=(1,)))
     h = ce_homology(L, 5)
@@ -334,6 +375,134 @@ def test_free_truncation_homology(g, N, kmax, dims):
     assert h.dims[1] == 3 * g
     tops = sl2_decompose(h)
     assert tops[:2] == ((0,), (2,) * g)
+
+
+def _ref_chain_words(L, k):
+    """Sorted index words of length k; even indices never repeat."""
+    out = []
+
+    def walk(start, word):
+        if len(word) == k:
+            out.append(word)
+            return
+        for i in range(start, L.dim):
+            walk(i if L.parity[i] else i + 1, word + (i,))
+
+    walk(0, ())
+    return out
+
+
+def _ref_word_key(L, word):
+    w = sum(L.sl2_weight[i] for i in word) if L.sl2_weight else 0
+    if L.degree is None:
+        return (w, None)
+    return (w, tuple(map(sum, zip(*(L.degree[i] for i in word)))))
+
+
+def _ref_ce_homology(L, kmax):
+    """Every chain word up to length kmax + 1, differentiated and checked,
+    then split into (weight, degree) blocks and ranked in full."""
+    words = [_ref_chain_words(L, k) for k in range(kmax + 2)]
+    diffs = [{w: tkk._diff_word(L, w) for w in words[k]} for k in range(kmax + 2)]
+    for k in range(2, kmax + 2):
+        for w, img in diffs[k].items():
+            acc = Counter()
+            for tw, c in img.items():
+                for tw2, c2 in diffs[k - 1][tw].items():
+                    acc[tw2] += c * c2
+            assert not any(acc.values())
+    blocks = []
+    for ws in words:
+        by_key = {}
+        for w in ws:
+            by_key.setdefault(_ref_word_key(L, w), []).append(w)
+        blocks.append(by_key)
+    ranks = [{} for _ in range(kmax + 2)]
+    for k in range(1, kmax + 2):
+        for key, ws in blocks[k].items():
+            tindex = {tw: t for t, tw in enumerate(blocks[k - 1].get(key, []))}
+            red = ExactRowReducer()
+            for w in ws:
+                if diffs[k][w]:
+                    red.add({tindex[tw]: c for tw, c in diffs[k][w].items()})
+            ranks[k][key] = red.rank
+    dims, weight_dims, degree_dims = [], [], []
+    for k in range(kmax + 1):
+        wdims, ddims = Counter(), Counter()
+        for key, ws in blocks[k].items():
+            h = len(ws) - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
+            assert h >= 0
+            if h:
+                wdims[key[0]] += h
+                if key[1] is not None:
+                    ddims[key[1]] += h
+        dims.append(sum(wdims.values()))
+        weight_dims.append(dict(sorted(wdims.items())))
+        degree_dims.append(dict(sorted(ddims.items())))
+    return HomologyResult(
+        dims=tuple(dims),
+        chain_dims=tuple(len(words[k]) for k in range(kmax + 1)),
+        weight_dims=tuple(weight_dims) if L.sl2_weight else None,
+        degree_dims=tuple(degree_dims) if L.degree is not None else None,
+    )
+
+
+def _relabelled(J, seed):
+    """J with its basis shuffled, so index order no longer follows degree."""
+    perm = list(range(J.dim))
+    random.Random(seed).shuffle(perm)
+    order = sorted(range(J.dim), key=perm.__getitem__)  # i moves to perm[i]
+    return AlgebraFD(
+        J.kind,
+        [J.labels[i] for i in order],
+        {
+            (perm[i], perm[j]): {perm[k]: c for k, c in prod.items()}
+            for (i, j), prod in J.table.items()
+        },
+        parity=[J.parity[i] for i in order],
+        degree=[J.degree[i] for i in order],
+    )
+
+
+def _stripped(L):
+    return AlgebraFD("lie", L.labels, L.table, parity=L.parity)
+
+
+@pytest.mark.parametrize(
+    "build, kmax",
+    [
+        (lambda: tag(scalar_jordan()), 3),
+        (lambda: tag(truncated_free_jordan(1, 1, parities=(1,))), 5),
+        (lambda: AlgebraFD("lie", ("a", "b", "c"), {}), 3),
+        (lambda: tag(truncated_free_jordan(2, 3)), 2),
+        (lambda: tag(truncated_free_jordan(2, 2)), 3),
+        (lambda: _stripped(tag(truncated_free_jordan(2, 2))), 3),
+        (lambda: tag(truncated_free_jordan(1, 6)), 3),
+        (lambda: tag(_relabelled(truncated_free_jordan(2, 3), 1)), 2),
+    ],
+    ids=["sl2", "heisenberg", "abelian", "J23", "J22", "J22-stripped", "J16",
+         "J23-relabelled"],
+)
+def test_block_homology_matches_full_enumeration(build, kmax):
+    L = build()
+    assert ce_homology(L, kmax) == _ref_ce_homology(L, kmax)
+
+
+def test_homology_differentiates_only_the_kept_top_level(monkeypatch):
+    # tag(J(3,3)) has 125 + 7,750 words up to length 2 and 317,750 of
+    # length 3; only 65,182 of those share a block key with a 2-word
+    calls = Counter()
+    diff_word = tkk._diff_word
+
+    def counted(L, word):
+        calls[len(word)] += 1
+        return diff_word(L, word)
+
+    monkeypatch.setattr(tkk, "_diff_word", counted)
+    h = ce_homology(tag(truncated_free_jordan(3, 3)), 2)
+    assert h.chain_dims == (1, 125, 7750)
+    assert calls[1] == 125 and calls[2] == 7750
+    assert sum(calls.values()) < 80_000
 
 
 def test_sl2_decompose_needs_weight_data():
