@@ -7,15 +7,22 @@ normal-monomial span; the free cover of that span is one copy of kS_n per
 association type, so a type's monomial space is the quotient by slot
 symmetries (head swap, pair swaps, and the head/first-factor block swap).
 
-For an irreducible of shape lambda the relation submodule's multiplicity is
-the rank of a matrix with f_n * d_lambda rows built from one d_lambda-wide
-column block per generator (and per slot symmetry), each block being the
-Clifton matrix of the element: a monomial with slot-label permutation s
-contributes A_lambda(s^{-1}), so relabeling acts by right multiplication and
-one block carries the whole orbit.  A(id)^{-1} factors out of every row
-block, so raw A matrices give the same rank as true representing matrices.
-The multiplicity of the irreducible in the quotient is then
-f_n * d_lambda - rank, certified modulo two primes.
+For an irreducible of shape lambda, each generator gives d_lambda rows,
+one band per type, built from Clifton matrices: a monomial with slot-label
+permutation s contributes A_lambda(s^{-1})^T to its type's band, so
+relabeling acts by right multiplication and one block carries the whole
+orbit.  A(id)^{-1} factors out of every row block, so raw A matrices give
+the same rank as true representing matrices.  The slot symmetries are not
+fed in as relation rows but quotiented out: type ti's band is multiplied
+by Q_ti, a d_lambda x c_ti basis (mod p) of the kernel of the stacked
+(A(id) - A(t))^T over its slot swaps t, so the matrix has sum_ti c_ti
+columns instead of f_n * d_lambda (3,180 instead of 26,112 for (4,3,2,1)
+in degree 10).  Each c_ti, the dimension of the vectors of S^lambda fixed
+by the type's slot symmetries, is known before any elimination from the
+character formula (1/|G|) sum_{g in G} chi^lambda(g), with G read off the
+type's tree; a kernel of any other width mod p is refused with
+ArithmeticError.  The multiplicity of the irreducible in the quotient is
+sum_ti c_ti - rank, certified modulo two primes.
 """
 
 from __future__ import annotations
@@ -39,10 +46,12 @@ from .trees import (
     leaf,
     monomial_key,
     monomial_slot_labels,
+    monomial_to_tree,
     monomial_type,
     node,
     normal_types,
     relabel_tree,
+    shape_key,
     substitute_leaf,
     type_swap_perms,
 )
@@ -127,30 +136,113 @@ def _sigma_expansion(n: int) -> tuple:
     return tuple(rows)
 
 
-def _relations(n: int):
-    """Each relation as ((type index, permutation, coeff), ...): the slot
-    swaps of every type, then the generators."""
-    ident = tuple(range(n))
-    for ti, comp in enumerate(normal_types(n)):
-        for t in type_swap_perms(comp, n):
-            yield ((ti, ident, 1), (ti, t, -1))
-    yield from _sigma_expansion(n)
+@cache
+def _type_symmetries(n: int) -> tuple:
+    """Per type, its slot symmetries as {cycle type: count}.
+
+    They are the leaf relabelings fixing the tree of the type's monomial on
+    labels 1..n in slot order, read off the tree itself: independent of
+    `type_swap_perms`, which the kernels use.
+    """
+    out = []
+    for comp in normal_types(n):
+        labels = iter(range(1, n + 1))
+        tree = monomial_to_tree(monomial_key(
+            tuple(islice(labels, min(n, 2))),
+            [tuple(islice(labels, c)) for c in comp],
+        ))
+        counts: dict = {}
+        for g in _tree_automorphisms(tree):
+            mu = _cycle_type(tuple(g[i] for i in range(1, n + 1)))
+            counts[mu] = counts.get(mu, 0) + 1
+        out.append(counts)
+    return tuple(out)
 
 
-def _row_batches(shape: tuple, n: int):
-    """The relation matrix over Z, d rows per relation, 24 relations to a
-    batch, all in one buffer (RankAccumulator.add copies what it takes)."""
+def _tree_automorphisms(t: tuple) -> list:
+    """Every leaf relabeling (a dict) that maps the tree t to itself."""
+    if t[0] == 1:
+        return [{t[1]: t[1]}]
+    a, b = t[1], t[2]
+    out = [{**ga, **gb} for ga in _tree_automorphisms(a)
+           for gb in _tree_automorphisms(b)]
+    if shape_key(a) == shape_key(b):
+        swap = dict(zip(_shape_leaves(a), _shape_leaves(b)))
+        swap.update({v: k for k, v in swap.items()})
+        out += [{k: swap[v] for k, v in g.items()} for g in out]
+    return out
+
+
+def _shape_leaves(t: tuple) -> tuple:
+    """Leaves in an order that zips two trees of one shape isomorphically."""
+    if t[0] == 1:
+        return (t[1],)
+    a, b = sorted(t[1:], key=shape_key)
+    return _shape_leaves(a) + _shape_leaves(b)
+
+
+@cache
+def _projected_widths(shape: tuple, n: int) -> tuple:
+    """Per type, c = dim of its slot-symmetry fixed space in S^lambda:
+    (1/|G|) sum over g in G of chi^lambda(g), by the character formula."""
+    out = []
+    for comp, counts in zip(normal_types(n), _type_symmetries(n)):
+        c, rem = divmod(sum(k * character(shape, mu) for mu, k in counts.items()),
+                        sum(counts.values()))
+        if rem:
+            raise ArithmeticError(
+                "character average of %s over the slot symmetries of type %s "
+                "is not an integer" % (shape, comp))
+        out.append(c)
+    return tuple(out)
+
+
+def _slot_kernels(shape: tuple, n: int, p: int) -> list:
+    """Per type, a d x c basis Q of the kernel mod p of the stacked
+    (A(id) - A(t))^T over the type's slot swaps t, refused unless c is the
+    character-formula width."""
     d = dim_irrep(shape)
-    relations = _relations(n)
-    buf = np.empty((24 * d, len(normal_types(n)) * d), dtype=np.int64)
-    while chunk := list(islice(relations, 24)):
-        batch = buf[: len(chunk) * d]
-        batch.fill(0)
+    a_id = clifton_matrix(shape, tuple(range(n))).T.astype(np.int64)
+    out = []
+    for comp, width in zip(normal_types(n), _projected_widths(shape, n)):
+        acc = RankAccumulator(d, p)
+        swaps = type_swap_perms(comp, n)
+        if swaps:
+            acc.add(np.concatenate([a_id - clifton_matrix(shape, t).T for t in swaps]))
+        # remainders of the unit vectors: 0 on the pivot columns, and on
+        # the free columns a map whose kernel is exactly the swaps' span
+        rem = acc.reduce(np.eye(d, dtype=np.int64))
+        q = rem[:, rem.any(axis=0)]
+        if q.shape[1] != width:
+            raise ArithmeticError(
+                "slot swaps of type %s fix a %d-dimensional subspace of %s mod %d, "
+                "the character formula gives %d" % (comp, q.shape[1], shape, p, width))
+        out.append(q)
+    return out
+
+
+def _row_batches(shape: tuple, n: int, kernels: list, p: int):
+    """The generator rows on the slot-symmetry quotient: for each generator,
+    d rows whose band of type ti is (sum of c * A(sigma)^T over its terms
+    of that type) @ Q_ti, 24 generators to a batch, one band at a time."""
+    d = dim_irrep(shape)
+    offsets = np.cumsum([0] + [q.shape[1] for q in kernels])
+    gens = iter(_sigma_expansion(n))
+    while chunk := list(islice(gens, 24)):
+        by_type: dict = {}
         for k, terms in enumerate(chunk):
             for ti, sigma, c in terms:
-                batch[k * d : (k + 1) * d, ti * d : (ti + 1) * d] += (
-                    c * clifton_matrix(shape, sigma).T.astype(np.int64)
-                )
+                by_type.setdefault(ti, []).append((k, sigma, c))
+        batch = np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
+        for ti, terms in by_type.items():
+            band = np.zeros((len(chunk) * d, d), dtype=np.int64)
+            for k, sigma, c in terms:
+                a = clifton_matrix(shape, sigma).T.astype(np.int64)
+                band[k * d : (k + 1) * d] += c * a
+            # signed small integers times residues: exact in int64
+            if int(np.abs(band).sum(axis=1).max()) * (p - 1) >= 2**63:
+                raise OverflowError("band sums too large for int64 products mod %d" % p)
+            batch[:, offsets[ti] : offsets[ti + 1]] = band @ kernels[ti]
         yield batch
 
 
@@ -158,10 +250,12 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     """Multiplicity of the shape-lambda irreducible in degree n."""
     if sum(shape) != n:
         raise ValueError("shape %s is not a partition of %d" % (shape, n))
-    width = len(normal_types(n)) * dim_irrep(shape)
-    # one prime at a time: a second accumulator on this width costs memory
-    ranks = {p: modular_ranks(_row_batches(shape, n), width, (p,))[p]
-             for p in choose_primes(width, n, primes)}
+    width = sum(_projected_widths(shape, n))
+    ranks = {}
+    # one prime at a time: the kernels, and so the rows, depend on the prime
+    for p in choose_primes(width, n, primes):
+        kernels = _slot_kernels(shape, n, p)
+        ranks[p] = modular_ranks(_row_batches(shape, n, kernels, p), width, (p,))[p]
     return width - certify(ranks)
 
 

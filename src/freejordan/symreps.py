@@ -8,14 +8,13 @@ For standard tableaux t_1..t_h of a shape, the matrix A(sigma) has entry
 each column of sigma t_j can be permuted so that every value lands in the
 row it occupies in t_i, and is then the sign of that column permutation.
 The representing matrix is rho(sigma) = A(id)^{-1} A(sigma); ranks of
-stacked A-blocks are unchanged by dropping the A(id)^{-1} factor, which
-keeps the hot path in small integers.
+stacked A-blocks are unchanged by dropping the A(id)^{-1} factor, so the
+package works with A alone, in small integers.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -143,46 +142,3 @@ def clifton_matrix(shape: tuple, sigma: tuple) -> np.ndarray:
 
 
 _clifton_cache: dict = {}
-
-
-def _fraction_inverse(mat) -> list:
-    """Gauss-Jordan of a small square integer matrix into Fractions."""
-    h = len(mat)
-    a = [[Fraction(int(x)) for x in row] for row in mat]
-    inv = [[Fraction(int(i == j)) for j in range(h)] for i in range(h)]
-    for col in range(h):
-        piv = next(r for r in range(col, h) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(h):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-@cache
-def _a_identity_inverse(shape: tuple) -> tuple:
-    a_id = clifton_matrix(shape, identity_perm(sum(shape)))
-    return tuple(tuple(row) for row in _fraction_inverse(a_id))
-
-
-def rep_matrix(shape: tuple, sigma: tuple) -> tuple:
-    """rho(sigma) = A(id)^{-1} A(sigma), exact Fractions, tuple of rows."""
-    inv = _a_identity_inverse(shape)
-    a = clifton_matrix(shape, sigma)
-    h = len(inv)
-    return tuple(
-        tuple(sum(inv[i][k] * int(a[k][j]) for k in range(h)) for j in range(h))
-        for i in range(h)
-    )
-
-
-def rep_trace(shape: tuple, sigma: tuple) -> Fraction:
-    rho = rep_matrix(shape, sigma)
-    return sum(rho[i][i] for i in range(len(rho)))

@@ -199,13 +199,15 @@ class AlgebraFD:
             out["degree"] = [
                 d[0] if len(d) == 1 else list(d) for d in self.degree
             ]
+        if self.sl2_weight is not None:
+            out["sl2_weight"] = list(self.sl2_weight)
         return out
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraFD":
         if not isinstance(data, dict):
             raise ValueError("structure constants must be a JSON object")
-        for key in ("table", "labels", "parity", "degree"):
+        for key in ("table", "labels", "parity", "degree", "sl2_weight"):
             if not isinstance(data.get(key, []), list):
                 raise ValueError("%s is not a list" % key)
         table = {}
@@ -226,6 +228,7 @@ class AlgebraFD:
             table,
             parity=data.get("parity"),
             degree=data.get("degree"),
+            sl2_weight=data.get("sl2_weight"),
         )
 
 

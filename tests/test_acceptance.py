@@ -148,21 +148,14 @@ def _cycle_type(perm: tuple) -> tuple:
     return tuple(sorted(lens, reverse=True))
 
 
-def _int_matrix(rows) -> np.ndarray:
-    out = []
-    for row in rows:
-        assert all(x.denominator == 1 for x in row)
-        out.append([x.numerator for x in row])
-    return np.array(out, dtype=np.int64)
-
-
 def test_07_structural_properties():
     import random
 
     from freejordan.lambda_ring import lambda_op, powersum
     from freejordan.partitions import character, partitions
-    from freejordan.symreps import compose_perms, rep_matrix
+    from freejordan.symreps import compose_perms
     from freejordan.tkk import _d_ab, tag, truncated_free_jordan
+    from test_symreps import int_rep_matrix
 
     # Jacobi holds for the whole bracket table of the degree-5 truncation
     # on two generators, checked on every basis triple.
@@ -267,7 +260,7 @@ def test_07_structural_properties():
             for i in range(n - 1)
         ]
         for shape in partitions(n):
-            rep = {s: _int_matrix(rep_matrix(shape, s)) for s in perms}
+            rep = {s: int_rep_matrix(shape, s) for s in perms}
             for s in perms:
                 assert np.trace(rep[s]) == character(shape, _cycle_type(s))
             for g in gens:
@@ -295,10 +288,10 @@ def test_09_extended_long_running():
     test_published_degree_eleven_values, degrees 8 and 9 in
     test_jord_module_degree_eight and _nine).
 
-    Its widest shape has 26,112 columns, an echelon basis of at most
-    26,112^2/4 int64 entries per accumulator (about 1.36 GB; 81 MB once
-    the rank reaches 25,718, ROADMAP item 5); it runs for hours and has
-    not been measured within 8 GB.
+    Its widest shape, (4,3,2,1), has 3,180 columns once the slot
+    symmetries are quotiented out (26,112 before), an echelon basis of at
+    most 3,180^2/4 int64 entries per accumulator (about 20 MB); its time
+    and peak memory have not been measured.
     To run the rest of the slow tier without it, add
     --deselect tests/test_acceptance.py::test_09_extended_long_running.
     """

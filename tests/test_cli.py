@@ -408,6 +408,19 @@ def test_cli_two_gen_rows_not_reversal_fixed_exit_two(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_cli_operad_dropped_slot_swap_exit_two(capsys, monkeypatch):
+    import freejordan.operad as operad_mod
+
+    swaps = operad_mod.type_swap_perms
+    monkeypatch.setattr(operad_mod, "type_swap_perms",
+                        lambda comp, n: swaps(comp, n)[1:])
+    code, _, err = run_cli(capsys, "operad", "--degree", "6", "--lambda", "3,2,1")
+    assert code == 2
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "character formula" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["predict-modules", "--degree", "4"],
     ["multidegree", "--delta", "2,1"],

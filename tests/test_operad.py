@@ -6,8 +6,10 @@ import pytest
 
 from freejordan import tables
 from freejordan.errors import InfeasibleError
-from freejordan.linalg import blas_primes
+from freejordan.linalg import RankAccumulator, blas_primes
 from freejordan.operad import (
+    _projected_widths,
+    _slot_kernels,
     _translate_span,
     _tree_basis,
     _tree_consequences,
@@ -19,7 +21,8 @@ from freejordan.operad import (
     naive_module,
     tree_space_character,
 )
-from freejordan.partitions import SnModule, partitions
+from freejordan.partitions import SnModule, dim_irrep, partitions
+from freejordan.symreps import clifton_matrix
 from freejordan.trees import (
     monomial_key,
     monomial_slot_labels,
@@ -29,6 +32,7 @@ from freejordan.trees import (
     leaf,
     normal_types,
     straighten,
+    type_swap_perms,
 )
 from test_trees import eval_monomials, eval_tree, random_symmetric, random_tree
 
@@ -203,6 +207,50 @@ def test_naive_module_integrality_checks_raise(monkeypatch):
         m.setattr(operad_mod, "dim_irrep", lambda shape: 7)
         with pytest.raises(ArithmeticError, match="not a multiple"):
             naive_module(4)
+
+
+def test_projected_widths_match_the_kernels_mod_p():
+    # per shape and type: the character-formula width is the width of the
+    # mod-p kernel, and Q is a quotient map: it kills every swap relation
+    # and has full column rank
+    for n in range(1, 9):
+        for shape in partitions(n):
+            widths = _projected_widths(shape, n)
+            p = blas_primes(sum(widths))[0]
+            kernels = _slot_kernels(shape, n, p)
+            assert [q.shape[1] for q in kernels] == list(widths)
+            a_id = clifton_matrix(shape, tuple(range(n))).T.astype(np.int64)
+            for comp, q in zip(normal_types(n), kernels):
+                for t in type_swap_perms(comp, n):
+                    assert not ((a_id - clifton_matrix(shape, t).T) @ q % p).any()
+                acc = RankAccumulator(dim_irrep(shape), p)
+                assert acc.add(q.T) == q.shape[1]
+
+
+def test_projected_widths_spot_values():
+    # (4,3,2,1), the widest degree-10 shape, has 34 x 768 unprojected columns
+    assert sum(_projected_widths((4, 3, 2, 1), 10)) == 3180
+    assert sum(_projected_widths((5, 2, 1), 8)) == 215
+    assert sum(_projected_widths((4, 2, 1, 1), 8)) == 178
+    # the head swap acts by -1 on the sign representation: nothing is fixed
+    assert _projected_widths((1, 1, 1), 3) == (0,)
+    assert _projected_widths((3,), 3) == (1,)
+
+
+def test_multiplicity_refuses_a_dropped_slot_swap(monkeypatch):
+    import freejordan.operad as operad_mod
+
+    monkeypatch.setattr(operad_mod, "type_swap_perms",
+                        lambda comp, n: type_swap_perms(comp, n)[1:])
+    with pytest.raises(ArithmeticError, match="character formula"):
+        multiplicity((3, 2, 1), 6)
+
+
+def test_multiplicity_with_31_bit_primes():
+    # the band products are int64 on signed sums times residues near 2^31
+    for shape in partitions(7):
+        got = multiplicity(shape, 7, primes=(2147483647, 2147483629))
+        assert got == tables.JORDAN_MODULE[7].get(shape, 0)
 
 
 def test_jord_module_other_primes():

@@ -1,6 +1,6 @@
 import itertools
 import random
-from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -15,8 +15,6 @@ from freejordan.symreps import (
     identity_perm,
     inverse_perm,
     perm_sign,
-    rep_matrix,
-    rep_trace,
     standard_tableaux,
 )
 
@@ -38,12 +36,18 @@ def cycle_type_of(perm):
     return tuple(sorted(out, reverse=True))
 
 
-def mat_mul(a, b):
-    h = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(h)) for j in range(h))
-        for i in range(h)
-    )
+@cache
+def a_identity_inverse(shape):
+    """The int64 inverse of A(id), checked exactly: A(id) is unimodular."""
+    a = clifton_matrix(shape, identity_perm(sum(shape))).astype(np.int64)
+    inv = np.rint(np.linalg.inv(a)).astype(np.int64)
+    assert np.array_equal(inv @ a, np.eye(len(a), dtype=np.int64))
+    return inv
+
+
+def int_rep_matrix(shape, sigma):
+    """rho(sigma) = A(id)^{-1} A(sigma), exact in int64."""
+    return a_identity_inverse(shape) @ clifton_matrix(shape, sigma)
 
 
 def test_perm_helpers():
@@ -87,9 +91,9 @@ def test_rep_is_homomorphism_exhaustive_small():
     for n in range(1, 5):
         perms = list(itertools.permutations(range(n)))
         for shape in partitions(n):
-            rho = {s: rep_matrix(shape, s) for s in perms}
+            rho = {s: int_rep_matrix(shape, s) for s in perms}
             for p, q in itertools.product(perms, repeat=2):
-                assert rho[compose_perms(p, q)] == mat_mul(rho[p], rho[q])
+                assert np.array_equal(rho[compose_perms(p, q)], rho[p] @ rho[q])
 
 
 @given(st.integers(min_value=2, max_value=6), st.data())
@@ -98,9 +102,9 @@ def test_rep_is_homomorphism_sampled(n, data):
     p = tuple(data.draw(st.permutations(range(n))))
     q = tuple(data.draw(st.permutations(range(n))))
     shape = data.draw(st.sampled_from(partitions(n)))
-    left = rep_matrix(shape, compose_perms(p, q))
-    right = mat_mul(rep_matrix(shape, p), rep_matrix(shape, q))
-    assert left == right
+    left = int_rep_matrix(shape, compose_perms(p, q))
+    right = int_rep_matrix(shape, p) @ int_rep_matrix(shape, q)
+    assert np.array_equal(left, right)
 
 
 def test_trace_equals_character():
@@ -108,7 +112,7 @@ def test_trace_equals_character():
         for shape in partitions(n):
             for sigma in itertools.permutations(range(n)):
                 expected = character(shape, cycle_type_of(sigma))
-                assert rep_trace(shape, sigma) == expected
+                assert np.trace(int_rep_matrix(shape, sigma)) == expected
 
 
 def test_trace_spot_checks_n6():
@@ -116,23 +120,19 @@ def test_trace_spot_checks_n6():
     perms = [tuple(rng.sample(range(6), 6)) for _ in range(8)]
     for shape in partitions(6):
         for sigma in perms:
-            assert rep_trace(shape, sigma) == character(shape, cycle_type_of(sigma))
+            trace = np.trace(int_rep_matrix(shape, sigma))
+            assert trace == character(shape, cycle_type_of(sigma))
 
 
 def test_group_average_kills_nontrivial_irreducibles():
     for n in range(1, 5):
         for shape in partitions(n):
-            h = dim_irrep(shape)
-            total = [[Fraction(0)] * h for _ in range(h)]
-            for sigma in itertools.permutations(range(n)):
-                rho = rep_matrix(shape, sigma)
-                for i in range(h):
-                    for j in range(h):
-                        total[i][j] += rho[i][j]
+            perms = itertools.permutations(range(n))
+            total = sum(int_rep_matrix(shape, s) for s in perms)
             if shape == (n,):
-                assert total == [[factorial(n)]]
+                assert total.tolist() == [[factorial(n)]]
             else:
-                assert all(x == 0 for row in total for x in row)
+                assert total.shape == (dim_irrep(shape),) * 2 and not total.any()
 
 
 def test_raw_blocks_have_same_rank_as_rep_blocks():
@@ -146,7 +146,7 @@ def test_raw_blocks_have_same_rank_as_rep_blocks():
         rep = []
         for s in sigmas:
             raw.extend([int(x) for x in row] for row in clifton_matrix(shape, s))
-            rep.extend(list(row) for row in rep_matrix(shape, s))
+            rep.extend(int_rep_matrix(shape, s).tolist())
         assert bareiss_rank(raw) == bareiss_rank(rep)
 
 

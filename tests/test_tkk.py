@@ -526,3 +526,13 @@ def test_structure_constants_round_trip_through_json():
         assert back.parity == J.parity
         assert back.degree == J.degree
         assert back.table == J.table
+
+
+def test_sl2_weight_round_trips_through_json():
+    L = tag(truncated_free_jordan(2, 2))
+    assert L.sl2_weight is not None
+    back = AlgebraFD.from_json(L.to_json())
+    assert back.sl2_weight == L.sl2_weight
+    want = ce_homology(L, 2).weight_dims
+    assert want is not None
+    assert ce_homology(back, 2).weight_dims == want
