@@ -187,7 +187,7 @@ def cmd_operad(args) -> int:
     else:
         for r in reports:
             print(
-                "n=%d lambda=(%s) mult=%d  (d_lambda=%d, relation rank %d of %d rows)"
+                "n=%d lambda=(%s) mult=%d  (d_lambda=%d, relation rank %d of %d columns)"
                 % (
                     r["n"],
                     r["lambda"],

@@ -8,9 +8,11 @@ float. There are two elimination engines and one oracle:
   numpy int64: rank x (ncols - rank) entries.  Every modular rank in the
   package comes from it;
 - ExactRowReducer, incremental reduced echelon form over Q on sparse dict
-  rows, for spaces that need exact quotient coordinates; it takes no
-  column count, since a sparse row names its own columns;
+  rows, for spaces that need exact quotient coordinates; its columns are
+  any sortable keys, so callers key rows by their own basis elements;
 - bareiss_rank, fraction-free rank over Z, the exact oracle for tests.
+
+add_scaled is the one sparse axpy, dst += c * src on dict vectors.
 
 All modular elimination is one kernel, _eliminate, C <- C - A @ B mod p:
 one float64 matmul where that is exact, a loop over the columns of A
@@ -297,41 +299,46 @@ def modular_ranks(blocks, ncols: int, primes) -> dict:
     return {acc.p: acc.rank for acc in accs}
 
 
+def add_scaled(dst: dict, src: dict, c=1) -> None:
+    """dst += c * src for sparse vectors, in place, dropping entries that
+    cancel."""
+    for k, x in src.items():
+        v = dst.get(k, 0) + c * x
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
+
+
 class ExactRowReducer:
     """Incremental reduced row echelon form over Q, on sparse rows.
 
-    A row is a dict {column: value}; a dense sequence is read as its
-    nonzero entries.  Each pivot row is stored as such a dict, scaled to 1
-    at its pivot column (its smallest column) and zero at every other
-    pivot column.  Because of that second property, reducing a row only
-    subtracts the pivot rows whose pivot columns occur in it, in one pass,
-    and the remainder (a dict, zero entries dropped) has no entry in any
-    pivot column: its entries are the row's coordinates on the non-pivot
-    columns.
+    A row is a dict {column: value}, its columns any sortable keys; a
+    dense sequence is read as its nonzero entries.  Each pivot row is
+    stored as such a dict, scaled to 1 at its pivot column (its smallest
+    column) and zero at every other pivot column.  Because of that second
+    property, reducing a row only subtracts the pivot rows whose pivot
+    columns occur in it, in one pass, and the remainder (a dict, zero
+    entries dropped) has no entry in any pivot column: its entries are the
+    row's coordinates on the non-pivot columns.
 
     Far slower than the modular accumulators for ranks alone; meant for
     spaces where exact quotient coordinates are needed.
     """
 
     def __init__(self):
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self.pivot_rows: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row) -> dict[int, Fraction]:
+    def reduce(self, row) -> dict:
         """Remainder of one row modulo the accumulated span."""
         items = row.items() if isinstance(row, dict) else enumerate(row)
         row = {j: Fraction(x) for j, x in items if x}
         for col in [j for j in row if j in self.pivot_rows]:
-            c = row[col]
-            for j, x in self.pivot_rows[col].items():
-                v = row.get(j, 0) - c * x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
+            add_scaled(row, self.pivot_rows[col], -row[col])
         return row
 
     def add(self, row) -> bool:
@@ -345,14 +352,6 @@ class ExactRowReducer:
         for pivot in self.pivot_rows.values():
             c = pivot.get(lead)
             if c:
-                for j, x in row.items():
-                    v = pivot.get(j, 0) - c * x
-                    if v:
-                        pivot[j] = v
-                    else:
-                        del pivot[j]
+                add_scaled(pivot, row, -c)
         self.pivot_rows[lead] = row
         return True
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self.pivot_rows))

@@ -50,6 +50,7 @@ basis.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import cache
 from math import factorial, lcm
 from numbers import Integral
@@ -313,10 +314,8 @@ class Component:
     def __init__(self, delta: tuple, span: tuple, reducer: ExactRowReducer):
         self.delta = delta
         self.span = span
-        self._index = {m: i for i, m in enumerate(span)}
         self._reducer = reducer
-        pivots = set(reducer.pivot_columns())
-        self.basis = tuple(m for i, m in enumerate(span) if i not in pivots)
+        self.basis = tuple(m for m in span if m not in reducer.pivot_rows)
 
     @property
     def dim(self) -> int:
@@ -324,14 +323,13 @@ class Component:
 
     def coords(self, elt: dict) -> dict:
         """Coordinates of a straightened element in the quotient basis."""
-        vec = {}
-        for m, c in elt.items():
-            if m not in self._index:
+        for m in elt:
+            # normal_monomials is sorted, so bisection tests membership
+            t = bisect_left(self.span, m)
+            if t == len(self.span) or self.span[t] != m:
                 raise ValueError("monomial %r has the wrong content" % (m,))
-            vec[self._index[m]] = c
         # the remainder lives on non-pivot columns, which are the basis
-        rem = self._reducer.reduce(vec)
-        return {self.span[t]: rem[t] for t in sorted(rem)}
+        return dict(sorted(self._reducer.reduce(elt).items()))
 
 
 def component(delta) -> Component:
@@ -349,9 +347,7 @@ def _component(delta: tuple) -> Component:
             "exact echelon form refused at total degree %d > 8" % n,
             estimate="up to %d spanning monomials" % _span_estimate(delta),
         )
-    span = normal_monomials(delta)
-    index = {m: i for i, m in enumerate(span)}
     red = ExactRowReducer()
     for r in relation_rows(delta):
-        red.add({index[m]: c for m, c in r.items()})
-    return Component(delta, span, red)
+        red.add(r)
+    return Component(delta, normal_monomials(delta), red)

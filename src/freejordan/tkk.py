@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError
-from .linalg import ExactRowReducer
+from .linalg import ExactRowReducer, add_scaled
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -45,16 +45,6 @@ F1 = Fraction(1)
 
 def _deg_add(d1: tuple, d2: tuple) -> tuple:
     return tuple(a + b for a, b in zip(d1, d2))
-
-
-def _add_into(out: dict, vec: dict, c=1) -> None:
-    """out += c * vec for sparse vectors, dropping entries that cancel."""
-    for k, x in vec.items():
-        v = out.get(k, F0) + c * x
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
 
 
 class AlgebraFD:
@@ -114,7 +104,7 @@ class AlgebraFD:
         out = {}
         for i, ca in va.items():
             for j, cb in vb.items():
-                _add_into(out, self.product(i, j), ca * cb)
+                add_scaled(out, self.product(i, j), ca * cb)
         return out
 
     def left_mult_matrix(self, i: int) -> list:
@@ -177,7 +167,7 @@ class AlgebraFD:
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 s = sign(a, c)
                 for m, cm in self.product(a, b).items():
-                    _add_into(acc, self.product(m, c), s * cm)
+                    add_scaled(acc, self.product(m, c), s * cm)
             if acc:
                 raise ValueError(
                     "Jacobi fails on basis triple (%s, %s, %s)"
@@ -207,6 +197,9 @@ class AlgebraFD:
     def from_json(cls, data: dict) -> "AlgebraFD":
         if not isinstance(data, dict):
             raise ValueError("structure constants must be a JSON object")
+        for key in ("table", "labels"):
+            if key not in data:
+                raise ValueError("structure constants lack the %s field" % key)
         for key in ("table", "labels", "parity", "degree", "sl2_weight"):
             if not isinstance(data.get(key, []), list):
                 raise ValueError("%s is not a list" % key)
@@ -301,7 +294,7 @@ def _d_ab(J: AlgebraFD, i: int, j: int) -> dict:
     cols = {}
     for c in range(J.dim):
         col = J.mult(ei, J.product(j, c))
-        _add_into(col, J.mult(ej, J.product(i, c)), s)
+        add_scaled(col, J.mult(ej, J.product(i, c)), s)
         if col:
             cols[c] = col
     return cols
@@ -325,9 +318,9 @@ def _is_derivation(J: AlgebraFD, D: dict, p_d: int) -> bool:
         for v in range(J.dim):
             lhs = {}
             for k, c in J.product(u, v).items():
-                _add_into(lhs, D.get(k, {}), c)
+                add_scaled(lhs, D.get(k, {}), c)
             rhs = J.mult(du, {v: F1})
-            _add_into(rhs, J.mult({u: F1}, D.get(v, {})), sgn)
+            add_scaled(rhs, J.mult({u: F1}, D.get(v, {})), sgn)
             if lhs != rhs:
                 return False
     return True
@@ -371,7 +364,7 @@ def inner_derivations(J: AlgebraFD) -> DerivationSpace:
                 )
         gens.append(D)
         kept_pairs.append((i, j))
-        red.add({r * J.dim + c: v for c, col in D.items() for r, v in col.items()})
+        red.add({(r, c): v for c, col in D.items() for r, v in col.items()})
     return DerivationSpace(J.dim, tuple(kept_pairs), tuple(gens), red.rank)
 
 
@@ -391,33 +384,24 @@ class BSpace:
             for j in range(i, J.dim)
             if i < j or J.parity[i]
         ]
-        blocks = {}
-        for pair in pairs:
-            blocks.setdefault(self._key(pair), []).append(pair)
         self._blocks = {}
-        for key, block_pairs in blocks.items():
-            index = {pr: t for t, pr in enumerate(block_pairs)}
-            red = ExactRowReducer()
-            self._blocks[key] = (block_pairs, index, red)
-        for a in range(J.dim):
-            for b in range(J.dim):
-                for c in range(J.dim):
-                    row = {}
-                    self._wedge_into(row, J.product(a, b), c)
-                    self._wedge_into(row, J.product(b, c), a)
-                    self._wedge_into(row, J.product(c, a), b)
-                    if not row:
-                        continue
-                    key = self._key(next(iter(row)))
-                    block_pairs, index, red = self._blocks[key]
-                    red.add({index[pr]: cf for pr, cf in row.items()})
+        for pair in pairs:
+            block = self._blocks.setdefault(self._key(pair), ([], ExactRowReducer()))
+            block[0].append(pair)
+        # the row of (a, b, c) is the row of (b, c, a), so every nonzero
+        # row arises from a triple whose first product is nonzero
+        for (a, b), ab in J.table.items():
+            for c in range(J.dim):
+                row = {}
+                self._wedge_into(row, ab, c)
+                self._wedge_into(row, J.product(b, c), a)
+                self._wedge_into(row, J.product(c, a), b)
+                if row:
+                    self._blocks[self._key(next(iter(row)))][1].add(row)
         self.basis = []
         for key in sorted(self._blocks, key=lambda k: (k is not None, k)):
-            block_pairs, index, red = self._blocks[key]
-            piv = set(red.pivot_columns())
-            self.basis.extend(
-                pr for t, pr in enumerate(block_pairs) if t not in piv
-            )
+            block_pairs, red = self._blocks[key]
+            self.basis.extend(pr for pr in block_pairs if pr not in red.pivot_rows)
         self.basis = tuple(self.basis)
         self.dim = len(self.basis)
 
@@ -449,7 +433,7 @@ class BSpace:
         if self.J.degree is None:
             raise ValueError("the underlying algebra carries no grading")
         out = {}
-        for key, (block_pairs, index, red) in self._blocks.items():
+        for key, (block_pairs, red) in self._blocks.items():
             out[key] = len(block_pairs) - red.rank
         return {k: v for k, v in sorted(out.items()) if v}
 
@@ -462,10 +446,9 @@ class BSpace:
         if i > j:
             s = F1 if (J.parity[i] and J.parity[j]) else -F1
             i, j = j, i
-        block_pairs, index, red = self._blocks[self._key((i, j))]
+        red = self._blocks[self._key((i, j))][1]
         # the remainder lives on non-pivot columns, which are the basis
-        rem = red.reduce({index[(i, j)]: s})
-        return {block_pairs[t]: rem[t] for t in sorted(rem)}
+        return dict(sorted(red.reduce({(i, j): s}).items()))
 
 
 def b_space(J: AlgebraFD) -> BSpace:
@@ -823,18 +806,16 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
             for img in imgs:
                 acc = {}
                 for tw, c in img.items():
-                    _add_into(acc, diffs[tw], c)
+                    add_scaled(acc, diffs[tw], c)
                 if acc:
                     raise ValueError("differential does not square to zero; not Lie")
-            tws = blocks.get(key, ())
-            bound = len(tws) - ranks[k - 1].get(key, 0)
-            tindex = {tw: t for t, tw in enumerate(tws)}
+            bound = len(blocks.get(key, ())) - ranks[k - 1].get(key, 0)
             red = ExactRowReducer()
             for img in imgs:
                 if red.rank >= bound:
                     break
                 if img:
-                    red.add({tindex[tw]: c for tw, c in img.items()})
+                    red.add(img)
             level_ranks[key] = red.rank
             if k <= kmax:
                 level_diffs.update(zip(ws, imgs))

@@ -29,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
+from .linalg import add_scaled
+
 
 def leaf(v: int) -> tuple:
     return (1, v)
@@ -196,15 +198,6 @@ def multilinear_monomials(n: int) -> list:
 # --- straightening -----------------------------------------------------------
 
 
-def _scaled_into(dst: dict, src: dict, c) -> None:
-    for k, v in src.items():
-        w = dst.get(k, 0) + c * v
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
-
-
 def _order_pair(a: tuple, b: tuple):
     """(bigger, smaller, tied?) by degree then shape; ties averaged by caller."""
     ka = (a[0], shape_key(a))
@@ -223,8 +216,8 @@ def straighten_tree(t: tuple) -> tuple:
     core, factor, tied = _order_pair(t[1], t[2])
     if tied:
         out: dict = {}
-        _scaled_into(out, dict(_reduce(t[1], t[2])), Fraction(1, 2))
-        _scaled_into(out, dict(_reduce(t[2], t[1])), Fraction(1, 2))
+        add_scaled(out, dict(_reduce(t[1], t[2])), Fraction(1, 2))
+        add_scaled(out, dict(_reduce(t[2], t[1])), Fraction(1, 2))
         return tuple(sorted(out.items()))
     return _reduce(core, factor)
 
@@ -264,7 +257,7 @@ def _reduce(core: tuple, factor: tuple) -> tuple:
             (1, node(node(core, c), node(a, b))),
             (1, node(node(core, a), node(b, c))),
         ):
-            _scaled_into(out, dict(straighten_tree(built)), coeff * weight)
+            add_scaled(out, dict(straighten_tree(built)), coeff * weight)
     return tuple(sorted(out.items()))
 
 

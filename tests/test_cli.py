@@ -187,6 +187,9 @@ def test_cli_operad_full_degree(capsys):
     for r in rows:
         assert r["f_n"] == 2 and r["j_n"] == 1
         assert r["rank"] == r["f_n"] * r["d_lambda"] - r["multiplicity"]
+    code, out, _ = run_cli(capsys, "operad", "--degree", "4", "--lambda", "2,2")
+    assert code == 0
+    assert "relation rank 2 of 4 columns" in out
 
 
 def test_cli_operad_single_shape_and_cache_hit(capsys, monkeypatch):
@@ -375,6 +378,18 @@ def test_cli_tag_rejects_malformed_structure_constants(capsys, tmp_path, labels,
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["table", "labels"])
+def test_cli_tag_names_a_missing_field(capsys, tmp_path, field):
+    blob = {"kind": "jordan", "labels": ["a"], "table": [[0, 0, [0, 1, 1]]]}
+    del blob[field]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "tag", "--input", str(path), "--homology", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: structure constants lack the %s field\n" % field
 
 
 def test_cli_verify_exit_zero(capsys):

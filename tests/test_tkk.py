@@ -238,6 +238,83 @@ def test_b_space_coords_land_in_the_basis(j23):
             assert c
 
 
+def _kaplansky_k3():
+    """The Kaplansky superalgebra: e even, x and y odd, e^2 = e,
+    ex = x/2, ey = y/2, xy = -yx = e/2."""
+    half = Fraction(1, 2)
+    table = {(0, 0): {0: 1}, (0, 1): {1: half}, (1, 0): {1: half},
+             (0, 2): {2: half}, (2, 0): {2: half},
+             (1, 2): {0: half}, (2, 1): {0: -half}}
+    return AlgebraFD("jordan", ("e", "x", "y"), table, parity=(0, 1, 1))
+
+
+def _ref_b_space(J):
+    """B(J) by the full scan: the cyclic relation of every one of the dim**3
+    ordered triples, reduced per degree block on integer columns in the
+    order of the block's wedge pairs.  Returns the basis, the graded
+    dimensions (None when J is ungraded) and the pivot rows per block."""
+
+    def key(pr):
+        if J.degree is None:
+            return None
+        return tuple(map(sum, zip(J.degree[pr[0]], J.degree[pr[1]])))
+
+    def wedge(m, c):
+        # e_m ^ e_c as (pair, sign), or None when it vanishes
+        if m == c:
+            return ((m, c), 1) if J.parity[m] else None
+        if m < c:
+            return (m, c), 1
+        return (c, m), (1 if J.parity[m] and J.parity[c] else -1)
+
+    blocks = {}
+    for i in range(J.dim):
+        for j in range(i, J.dim):
+            if i < j or J.parity[i]:
+                blocks.setdefault(key((i, j)), []).append((i, j))
+    index = {pr: t for prs in blocks.values() for t, pr in enumerate(prs)}
+    reds = {k: ExactRowReducer() for k in blocks}
+    for a, b, c in itertools.product(range(J.dim), repeat=3):
+        row = Counter()
+        for (u, v), w in (((a, b), c), ((b, c), a), ((c, a), b)):
+            for m, cm in J.product(u, v).items():
+                term = wedge(m, w)
+                if term:
+                    row[term[0]] += term[1] * cm
+        row = {pr: x for pr, x in row.items() if x}
+        if row:
+            reds[key(next(iter(row)))].add({index[pr]: x for pr, x in row.items()})
+    order = sorted(blocks, key=lambda k: (k is not None, k))
+    basis = tuple(pr for k in order for t, pr in enumerate(blocks[k])
+                  if t not in reds[k].pivot_rows)
+    graded = None
+    if J.degree is not None:
+        graded = {k: len(blocks[k]) - reds[k].rank for k in sorted(blocks)
+                  if len(blocks[k]) > reds[k].rank}
+    pivots = {
+        k: {blocks[k][t]: {blocks[k][u]: x for u, x in row.items()}
+            for t, row in reds[k].pivot_rows.items()}
+        for k in blocks
+    }
+    return basis, graded, pivots
+
+
+@pytest.mark.parametrize("build", [
+    lambda: truncated_free_jordan(2, 4),
+    lambda: truncated_free_jordan(3, 3),
+    lambda: symmetric_matrix_jordan(3),
+    _kaplansky_k3,
+], ids=["free-2-4", "free-3-3", "sym3", "kaplansky-k3"])
+def test_b_space_matches_the_full_triple_scan(build):
+    J = build()
+    B = b_space(J)
+    basis, graded, pivots = _ref_b_space(J)
+    assert B.basis == basis
+    if graded is not None:
+        assert B.graded_dims() == graded
+    assert {k: red.pivot_rows for k, (_, red) in B._blocks.items()} == pivots
+
+
 # ---------------------------------------------------------------- tag
 
 
