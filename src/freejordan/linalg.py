@@ -21,8 +21,10 @@ every update between rows through it (the shape of FFLAS-FFPACK's PLUQ,
 Dumas-Giorgi-Pernet 2008).
 
 Relation matrices reach RankAccumulator through modular_ranks, one
-accumulator per prime over the same integer blocks, and a modular rank is
-reported only through certify, which compares the ranks of one matrix over
+accumulator per prime over the same integer blocks, or, where a span is
+the direct sum of smaller ones plus fresh rows, through
+RankAccumulator.direct_sum and add; a modular rank is reported only
+through certify, which compares the ranks of one matrix over
 several primes.  Primes follow one rule, choose_primes: explicit ones
 must be primes p with n < p < 2**31 in degree n; the default is
 blas_primes(width), the largest primes for which the kernel on that many
@@ -229,6 +231,38 @@ class RankAccumulator:
         self._pivcols = []
         self._free = np.arange(ncols)
         self._x = np.zeros((0, ncols), dtype=np.int64)
+
+    @classmethod
+    def direct_sum(cls, ncols: int, p: int, parts) -> "RankAccumulator":
+        """An accumulator on ncols columns holding the union of the bases
+        of `parts`, pairs (cols, acc) that send column j of acc (mod p) to
+        column cols[j].  Images of distinct parts must be disjoint, so the
+        union is already [I | X]: nothing is eliminated.  Its rank is the
+        sum of the parts' ranks, and with increasing maps its basis is the
+        one add would reach from the relabelled rows."""
+        out = cls(ncols, p)
+        taken = np.zeros(ncols, dtype=bool)
+        maps = []
+        for cols, acc in parts:
+            cols = np.asarray(cols, dtype=np.int64)
+            if acc.p != p or cols.shape != (acc.ncols,):
+                raise ValueError("a part needs p = %d and one image per column" % p)
+            if len(cols) and (cols.min() < 0 or cols.max() >= ncols):
+                raise ValueError("column images fall outside 0..%d" % (ncols - 1))
+            if taken[cols].any() or len(np.unique(cols)) < len(cols):
+                raise ValueError("column images overlap or repeat")
+            taken[cols] = True
+            maps.append((cols, acc))
+        out._pivcols = [c for cols, acc in maps for c in cols[acc._pivcols].tolist()]
+        out._free = np.setdiff1d(np.arange(ncols), out._pivcols)
+        out._x = np.zeros((out.rank, len(out._free)), dtype=np.int64)
+        row = 0
+        for cols, acc in maps:
+            # a part's free columns stay free; _free is sorted
+            at = np.searchsorted(out._free, cols[acc._free])
+            out._x[row : row + acc.rank, at] = acc._x
+            row += acc.rank
+        return out
 
     @property
     def rank(self) -> int:

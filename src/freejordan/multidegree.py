@@ -7,7 +7,7 @@ spanned by two kinds of rows, built degree by degree:
 
   * fresh instances of the four-slot defining identity whose slots hold
     normal monomials with contents summing to the target, and
-  * rows of lower content with one extra factor of degree one or two
+  * rows of lower content with one extra factor u of degree one or two
     appended (appending keeps normal monomials normal, so no rewriting
     is needed).
 
@@ -16,6 +16,17 @@ deeper monomial can be rewritten, via the straightening identity, into
 appends of strictly smaller factors plus one fresh instance of the defining
 identity with the row's monomials in the long slot, and both of those are
 already in the span.
+
+The appended rows are never built.  Appending u is an injective, order
+keeping relabelling of columns, and the images of distinct u are disjoint
+(u is the last factor), so the lower contents' reduced echelon bases,
+relabelled, already form the reduced echelon basis of everything the
+appended rows span.  Each content is therefore ranked, per prime, by
+recursing into its lower contents, seeding its accumulator with the direct
+sum of their bases (RankAccumulator.direct_sum, no elimination) and adding
+only its own fresh rows; the exact Component does the same with the lower
+components' pivot rows.  The ranks, unlucky primes included, and the
+echelon forms are those of the full row set.
 
 Fresh rows are assembled with the memoised normal-basis product (straighten
 one two-factor tree per distinct pair of normal monomials) rather than by
@@ -58,7 +69,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import ExactRowReducer, certify, choose_primes, modular_ranks
+from .linalg import ExactRowReducer, RankAccumulator, certify, choose_primes
 from .trees import (
     monomial_key,
     monomial_to_tree,
@@ -211,11 +222,27 @@ def _jordan_row(b1: tuple, b2: tuple, b3: tuple, b4: tuple) -> dict:
     return out
 
 
-@cache
+def _lower_contents(delta: tuple):
+    """(u, delta - content(u)) for each unit factor u whose lower content
+    has relations (total degree at least 4)."""
+    for u, content in _unit_factors(len(delta)):
+        lower = tuple(a - b for a, b in zip(delta, content))
+        if min(lower) >= 0 and sum(lower) >= 4:
+            yield u, lower
+
+
+def _appended(m: tuple, u: tuple) -> tuple:
+    # a monomial of degree >= 4 has a factor, and a factor appended behind
+    # it leaves the key canonical; the key order is kept, and distinct u
+    # give disjoint images, u being the last factor
+    return m[0], m[1] + (u,)
+
+
 def relation_rows(delta: tuple) -> tuple:
-    """Straightened consequence rows spanning the relations of one content."""
-    n = sum(delta)
-    if n < 4:
+    """Fresh instances of the defining identity in one content.  With the
+    relations of its lower contents, each with its unit factor appended
+    (_lower_contents, _appended), they span the content's relations."""
+    if sum(delta) < 4:
         return ()
     rows = []
     seen = set()
@@ -232,23 +259,16 @@ def relation_rows(delta: tuple) -> tuple:
                         elt = _jordan_row(v1, v2, v3, v4)
                         if elt:
                             rows.append(elt)
-    g = len(delta)
-    for u, content in _unit_factors(g):
-        lower = tuple(a - b for a, b in zip(delta, content))
-        if min(lower) < 0 or sum(lower) < 4:
-            continue
-        # a monomial of degree >= 4 has a factor, and a factor appended
-        # behind it leaves the key canonical
-        for r in relation_rows(lower):
-            rows.append({(m[0], m[1] + (u,)): c for m, c in r.items()})
     return tuple(rows)
 
 
 # (8, 2, 1), the largest content checked against published values, has a
-# span estimate of 27,225 (9,520 normal monomials); (6, 2, 2) at 42,840 has
-# 12,083 and (7, 2, 2) at 108,900 has 30,300, an echelon basis of up to
-# 30,300**2/4 int64 entries (1.8 GB) beside its relation rows; the bound
-# stays until such a run is measured within 8 GB
+# span estimate of 27,225 (9,520 normal monomials); seeded, its X starts at
+# the summed lower ranks, 9,076 x 444, and ends at 9,270 x 250 (17 s, 293 MB
+# peak RSS on a 2-core host).  (6, 2, 2) at 42,840 has 12,083 and (7, 2, 2)
+# at 108,900 has 30,300, an echelon basis of up to 30,300**2/4 int64
+# entries (1.8 GB) beside its relation rows; the bound stays until such a
+# run is measured within 8 GB
 _MAX_SPAN = 36_000
 
 
@@ -286,26 +306,56 @@ def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
         )
     basis = normal_monomials(delta)
     primes = choose_primes(len(basis), n, primes)
-    rows = relation_rows(delta)
-    if not rows:
+    if n < 4:
         return len(basis)
-    index = {m: i for i, m in enumerate(basis)}
-    sparse = [
-        (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
-        for r in rows
-    ]
+    return len(basis) - certify(_seeded_ranks(delta, primes))
 
-    def batches():
-        for start in range(0, len(sparse), 256):
-            chunk = sparse[start : start + 256]
-            batch = np.zeros((len(chunk), len(basis)), dtype=np.int64)
-            for k, (cols, vals) in enumerate(chunk):
-                batch[k, cols] = vals
-            yield batch
 
-    # one prime at a time: a second accumulator on this width costs memory
-    ranks = {p: modular_ranks(batches(), len(basis), (p,))[p] for p in primes}
-    return len(basis) - certify(ranks)
+def _seeded_ranks(delta: tuple, primes) -> dict:
+    """{p: rank over F_p} of the relations of content delta.
+
+    Each content reached from delta through _lower_contents starts from
+    the direct sum of its lower contents' echelon bases, relabelled by
+    _appended, and takes only its own fresh rows through add.  Appending
+    u is an injective relabelling of columns that spans, mod p, what the
+    appended rows span, so every prime's rank is that of the full row set.
+    """
+    built = {}  # content -> (width, fresh sparse rows, lower column maps)
+
+    def build(d):
+        if d not in built:
+            span = normal_monomials(d)
+            index = {m: i for i, m in enumerate(span)}
+            rows = [
+                (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
+                for r in relation_rows(d)
+            ]
+            lower = [
+                (np.array([index[_appended(m, u)] for m in normal_monomials(low)]), low)
+                for u, low in _lower_contents(d)
+            ]
+            built[d] = len(span), rows, lower
+        return built[d]
+
+    def rank(d, p, accs):
+        if d not in accs:
+            width, rows, lower = build(d)
+            acc = RankAccumulator.direct_sum(
+                width, p, [(cols, rank(low, p, accs)) for cols, low in lower]
+            )
+            for start in range(0, len(rows), 256):
+                if acc.is_full:
+                    break
+                chunk = rows[start : start + 256]
+                batch = np.zeros((len(chunk), width), dtype=np.int64)
+                for k, (cols, vals) in enumerate(chunk):
+                    batch[k, cols] = vals
+                acc.add(batch)
+            accs[d] = acc
+        return accs[d]
+
+    # one prime at a time: its accumulators are dropped before the next
+    return {p: rank(delta, p, {}).rank for p in primes}
 
 
 class Component:
@@ -348,6 +398,14 @@ def _component(delta: tuple) -> Component:
             estimate="up to %d spanning monomials" % _span_estimate(delta),
         )
     red = ExactRowReducer()
+    # the lower components' pivot rows, relabelled, sit on disjoint columns
+    # and keep their leading keys: they are already the reduced echelon
+    # form of the appended rows
+    for u, lower in _lower_contents(delta):
+        for lead, row in _component(lower)._reducer.pivot_rows.items():
+            red.pivot_rows[_appended(lead, u)] = {
+                _appended(m, u): c for m, c in row.items()
+            }
     for r in relation_rows(delta):
         red.add(r)
     return Component(delta, normal_monomials(delta), red)

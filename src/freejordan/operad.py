@@ -93,7 +93,7 @@ def consequences(n: int) -> tuple:
                 out.append(elt)
     for u in ((n,), (n - 1, n)):
         for lower in consequences(n - len(u)):
-            # the appended factor leaves the key canonical, as in relation_rows
+            # the key stays canonical, as in multidegree._appended
             out.append({(m[0], m[1] + (u,)): c for m, c in lower.items()})
     return tuple(out)
 

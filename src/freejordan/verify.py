@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .tables import (
     JORDAN_MODULE,
+    MULTIDEGREE_DIMS,
     MULTILINEAR_DIMS,
     PREDICTED_DIM_19_TWO_GEN,
     TWO_GEN_B_DIMS,
@@ -152,8 +153,10 @@ def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
 
 
 def suite_tables(max_degree: int = 6) -> VerificationReport:
-    """Multilinear module structure against the lambda-ring prediction."""
+    """Multilinear module structure against the lambda-ring prediction,
+    and one published multidegree dimension."""
     from .lambda_ring import km_prediction, schur_decompose
+    from .multidegree import multidegree_dim
     from .operad import jord_module
 
     jord_module = functools.cache(jord_module)  # two checks per degree, one build
@@ -182,6 +185,13 @@ def suite_tables(max_degree: int = 6) -> VerificationReport:
             "character recursion, independent pipeline",
             lambda n=n: schur_decompose(a, n).mults,
         )
+    _check(
+        rep,
+        "dim of the content-(9,1,1) component",
+        MULTIDEGREE_DIMS[(9, 1, 1)],
+        "published table (tables.py), rank method",
+        lambda: multidegree_dim((9, 1, 1)),
+    )
     return rep
 
 

@@ -108,7 +108,9 @@ def test_verify_tables_builds_each_module_once(monkeypatch):
         return real(n, *a, **k)
 
     monkeypatch.setattr(operad_mod, "jord_module", counting)
-    assert suite_tables(4).passed
+    report = suite_tables(4)
+    assert report.passed
+    assert report.results[-1].name == "dim of the content-(9,1,1) component"
     assert sorted(calls) == [1, 2, 3, 4]
 
 

@@ -282,6 +282,67 @@ def test_accumulator_on_wide_matrices_matches_one_echelon(data, which):
     assert not acc.reduce(probes).any()
 
 
+def _part(ncols, rows, p=7):
+    acc = RankAccumulator(ncols, p)
+    acc.add(np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols))
+    return acc
+
+
+@pytest.mark.parametrize("cols, message", [
+    ([[0, 1], [1, 2]], "overlap"),
+    ([[0, 0], [1, 2]], "repeat"),
+    ([[0, 1], [2, 5]], "outside"),
+    ([[-1, 1], [2, 3]], "outside"),
+    ([[0, 1], [2]], "one image per column"),
+])
+def test_direct_sum_refuses_bad_column_maps(cols, message):
+    parts = [_part(2, [[1, 3]]), _part(2, [[0, 2]])]
+    with pytest.raises(ValueError, match=message):
+        RankAccumulator.direct_sum(5, 7, list(zip(cols, parts)))
+    with pytest.raises(ValueError, match="p = 7"):
+        RankAccumulator.direct_sum(5, 7, [([0, 1], _part(2, [[1, 3]], p=11))])
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_equals_adding_the_relabelled_rows(data, increasing):
+    p = 7  # small, so that blocks often lose rank mod p
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    widths = data.draw(st.lists(st.integers(0, 6), max_size=4))
+    ncols = sum(widths) + data.draw(st.integers(0, 4))
+    targets = rng.permutation(ncols)
+    parts, relabelled, start = [], [], 0
+    for w in widths:
+        rows = rng.integers(-9, 10, (data.draw(st.integers(0, 8)), w))
+        cols = targets[start : start + w]
+        if increasing:
+            cols = np.sort(cols)
+        start += w
+        parts.append((cols, _part(w, rows)))
+        wide = np.zeros((len(rows), ncols), dtype=np.int64)
+        wide[:, cols] = rows
+        relabelled.append(wide)
+    acc = RankAccumulator.direct_sum(ncols, p, parts)
+    ref = RankAccumulator(ncols, p)
+    for wide in relabelled:
+        ref.add(wide)
+    assert acc.rank == ref.rank == sum(part.rank for _, part in parts)
+    more = rng.integers(-9, 10, (3, ncols))
+    probes = rng.integers(-99, 100, (4, ncols))
+    if increasing:
+        # each relabelled pivot is still its row's leading column, so the
+        # basis is the one add keeps, and both keep accumulating alike
+        assert sorted(acc.basis().tolist()) == sorted(ref.basis().tolist())
+        assert acc.add(more) == ref.add(more)
+        assert sorted(acc.basis().tolist()) == sorted(ref.basis().tolist())
+        assert (acc.reduce(probes) == ref.reduce(probes)).all()
+    else:
+        # other pivots, the same span
+        assert not acc.reduce(ref.basis()).any()
+        assert not ref.reduce(acc.basis()).any()
+        assert acc.add(more) == ref.add(more)
+
+
 def test_accumulator_memory_stays_below_a_dense_basis():
     # rank 3032 of 3072 columns, fed in 256-row batches: a dense basis is
     # rank * ncols * 8 = 74.5 MB, while X peaks at (ncols/2)**2 entries,

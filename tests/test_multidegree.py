@@ -3,16 +3,19 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freejordan import tables
 from freejordan.errors import InfeasibleError
+from freejordan.linalg import ExactRowReducer, RankAccumulator, blas_primes
 from freejordan.multidegree import (
     _jordan_row,
     _mul,
     _mul_normal,
+    _seeded_ranks,
     _slot_splits,
     _unit_factors,
     component,
@@ -137,9 +140,8 @@ def _ref_row(b1, b2, b3, b4) -> dict:
 
 
 @cache
-def _ref_relation_rows(delta: tuple) -> tuple:
-    """relation_rows on the reference: the same instances, appends keyed
-    through monomial_key."""
+def _ref_fresh_rows(delta: tuple) -> tuple:
+    """relation_rows on the reference: the same fresh instances."""
     if sum(delta) < 4:
         return ()
     rows, seen = [], set()
@@ -151,12 +153,61 @@ def _ref_relation_rows(delta: tuple) -> tuple:
             if key not in seen:
                 seen.add(key)
                 rows.append(_ref_row(v1, v2, v3, v4))
+    return tuple(r for r in rows if r)
+
+
+@cache
+def _ref_relation_rows(delta: tuple) -> tuple:
+    """Every relation row of one content: the fresh instances and the rows
+    of each lower content with a unit factor appended, keyed through
+    monomial_key."""
+    rows = list(_ref_fresh_rows(delta))
     for u, content in _unit_factors(len(delta)):
         lower = tuple(a - b for a, b in zip(delta, content))
         if min(lower) >= 0 and sum(lower) >= 4:
             for r in _ref_relation_rows(lower):
                 rows.append({monomial_key(m[0], m[1] + (u,)): c for m, c in r.items()})
-    return tuple(r for r in rows if r)
+    return tuple(rows)
+
+
+def _contents(n: int):
+    # every content of degree n on one, two or three generators
+    for g in (1, 2, 3):
+        for delta in itertools.product(range(n + 1), repeat=g):
+            if sum(delta) == n:
+                yield delta
+
+
+def _partitions(n: int):
+    # one content per orbit of the generator permutations
+    for delta in _contents(n):
+        if all(delta) and list(delta) == sorted(delta, reverse=True):
+            yield delta
+
+
+def _ref_rank(delta: tuple, p: int) -> int:
+    """Rank mod p of the full reference row set, fed densely."""
+    index = {m: i for i, m in enumerate(normal_monomials(delta))}
+    rows = _ref_relation_rows(delta)
+    acc = RankAccumulator(len(index), p)
+    for start in range(0, len(rows), 256):
+        chunk = rows[start : start + 256]
+        dense = np.zeros((len(chunk), len(index)), dtype=np.int64)
+        for k, r in enumerate(chunk):
+            for m, c in r.items():
+                dense[k, index[m]] = int(c) % p
+        acc.add(dense)
+    return acc.rank
+
+
+def _check_seeded_ranks(delta: tuple, primes) -> int:
+    """Asserts the seeded ranks equal the full row set's at each prime;
+    returns how many primes lose rank against a BLAS prime."""
+    p = blas_primes(len(normal_monomials(delta)))[0]
+    want = _ref_rank(delta, p)
+    ranks = _seeded_ranks(delta, (p,) + primes)
+    assert ranks == {q: _ref_rank(delta, q) for q in (p,) + primes}, delta
+    return sum(r < want for r in ranks.values())
 
 
 def test_mul_normal_is_straighten_over_a_power_of_two():
@@ -207,7 +258,54 @@ def test_relation_rows_match_the_fraction_reference():
     for n in range(4, 8):
         for delta in itertools.product(range(n + 1), repeat=3):
             if sum(delta) == n:
-                assert relation_rows(delta) == _ref_relation_rows(delta), delta
+                assert relation_rows(delta) == _ref_fresh_rows(delta), delta
+
+
+def test_seeded_ranks_match_the_full_row_set():
+    # per prime, so that a rank below the rational one is reproduced too:
+    # at p = 3, 5, 7 the rank drops on 119 (content, prime) pairs
+    lost = sum(_check_seeded_ranks(d, (3, 5, 7)) for n in range(4, 8)
+               for d in _contents(n))
+    assert lost == 119
+    # degree 8 at a BLAS prime, one content per partition here and every
+    # content in the slow tier
+    for delta in _partitions(8):
+        _check_seeded_ranks(delta, ())
+
+
+@pytest.mark.slow
+def test_seeded_ranks_match_the_full_row_set_in_degree_eight():
+    for delta in _contents(8):
+        _check_seeded_ranks(delta, ())
+
+
+def _check_component(delta: tuple) -> None:
+    """Asserts the seeded Component has the reduced echelon form of the
+    full reference row set."""
+    red = ExactRowReducer()
+    for r in _ref_relation_rows(delta):
+        red.add(r)
+    comp = component(delta)
+    assert comp._reducer.pivot_rows == red.pivot_rows, delta
+    assert comp.basis == tuple(
+        m for m in normal_monomials(delta) if m not in red.pivot_rows
+    ), delta
+
+
+def test_component_matches_the_full_row_reducer():
+    # every content through degree 6, one per partition in degree 7 here
+    # and every content in the slow tier
+    for n in range(4, 7):
+        for delta in _contents(n):
+            _check_component(delta)
+    for delta in _partitions(7):
+        _check_component(delta)
+
+
+@pytest.mark.slow
+def test_component_matches_the_full_row_reducer_in_degree_seven():
+    for delta in _contents(7):
+        _check_component(delta)
 
 
 def test_nonintegral_contents_are_refused():
@@ -271,7 +369,10 @@ def test_component_basis_monomials_are_their_own_coords():
         assert comp.coords({m: Fraction(1)}) == {m: Fraction(1)}
 
 
+def test_published_content_nine_one_one():
+    assert multidegree_dim((9, 1, 1)) == tables.MULTIDEGREE_DIMS[(9, 1, 1)]
+
+
 @pytest.mark.slow
 def test_published_degree_eleven_values():
-    assert multidegree_dim((9, 1, 1)) == tables.MULTIDEGREE_DIMS[(9, 1, 1)]
     assert multidegree_dim((8, 2, 1)) == tables.MULTIDEGREE_DIMS[(8, 2, 1)]
