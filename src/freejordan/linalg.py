@@ -21,11 +21,13 @@ every update between rows through it (the shape of FFLAS-FFPACK's PLUQ,
 Dumas-Giorgi-Pernet 2008).
 
 Relation matrices reach RankAccumulator through modular_ranks, one
-accumulator per prime over the same integer blocks, or, where a span is
+accumulator per prime over the same integer blocks; where a span is
 the direct sum of smaller ones plus fresh rows, through
-RankAccumulator.direct_sum and add; a modular rank is reported only
-through certify, which compares the ranks of one matrix over
-several primes.  Primes follow one rule, choose_primes: explicit ones
+RankAccumulator.direct_sum and add; or, for the two-generator span in
+twogen, degree by degree through add of the products of the lower
+degrees' echelon bases.  A modular rank is reported only through
+certify, which compares the ranks of one matrix over several primes.
+Primes follow one rule, choose_primes: explicit ones
 must be primes p with n < p < 2**31 in degree n; the default is
 blas_primes(width), the largest primes for which the kernel on that many
 columns stays on its float64 matmul path, which is exact by a counting

@@ -7,31 +7,34 @@ free associative algebra generated by the two letters, and that subalgebra
 is exactly the fixed space of the reversal antiautomorphism.  Degree-n words
 are packed into bitmask integers (bit per position, most significant bit
 first).  The Jordan spanning rank is certified block by block, one block
-per letter content: the expansions of normal Jordan monomials are int64
-arrays of word masks, counted into rows, and since every such row is
+per letter content, and built degree by degree, one prime at a time: each
+normal Jordan monomial of degree n >= 2 is a product m o f of a lower one
+with a factor x, y, xx, xy or yy, so a block's span mod p is spanned by
+the products of the lower blocks' echelon bases with the factors.  Those
+products are rows on the block's words, and since every such row is
 reversal-fixed (which each batch checks) a block is ranked on one column
-per reversal orbit {w, reverse(w)}, about half of its words.  That keeps
-the rank cheap enough to be pushed through degree 14.
+per reversal orbit {w, reverse(w)}, about half of its words.  A block
+with more second letters than first is its letter-swap mirror.  That
+keeps the rank cheap enough to be pushed through degree 14.
 
 The graded dimension of the quotient that measures inner derivations
 follows the closed counting formula
 
     2^n - reversible_dim(n) - necklaces(n) + bracelets(n)
 
-so everything in this module reduces to Burnside counts and one modular
-rank per degree.
+so everything in this module reduces to Burnside counts and the modular
+ranks of the span.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import certify, choose_primes, modular_ranks
+from .linalg import RankAccumulator, certify, choose_primes
 
 
 def mask_to_word(mask: int, n: int) -> tuple:
@@ -111,45 +114,15 @@ def _reversal_orbits(n: int, ones: int) -> int:
     return (comb(n, ones) + palindromes) // 2
 
 
-def _content_rows(n: int, ones: int):
-    """Expansions of normal Jordan monomials with `ones` second letters.
-
-    A normal monomial is a head pair followed by factors of degree one or
-    two.  An expansion is an int64 array of word masks with repeats: the
-    coefficient of a word is its count, and working with 2ab = a.b + b.a
-    keeps it integral (the overall power of two never affects a rank).
-    The walk extends a partial expansion one factor at a time, so shared
-    prefixes are expanded once, pruning on the remaining letter budget.
-    """
-    letters = (np.array([0]), np.array([1]))
-    if n == 1:
-        yield letters[ones]
-        return
-    pairs = {(i, j): np.array([(i << 1) | j, (j << 1) | i])
-             for i, j in ((0, 0), (0, 1), (1, 1))}
-
-    # depth-first, children in the order: pair factors xx, xy, yy, then x, y
-    stack = [(f, 2, a + b) for (a, b), f in reversed(pairs.items())
-             if a + b <= ones and 2 - a - b <= n - ones]
-    while stack:
-        state, deg, y_used = stack.pop()
-        if deg == n:
-            yield state
-            continue
-        y_left = ones - y_used
-        x_left = (n - ones) - (deg - y_used)
-        factors = []
-        if deg + 2 <= n:
-            factors += [(f, 2, i + j) for (i, j), f in pairs.items()
-                        if i + j <= y_left and 2 - i - j <= x_left]
-        factors += [(letters[i], 1, i) for i in (0, 1)
-                    if (y_left if i else x_left) >= 1]
-        for f, df, dy in reversed(factors):
-            # twice state o f: the words of state.f, then those of f.state
-            words = np.concatenate(
-                ((state[:, None] << df) | f, (f[:, None] << deg) | state), axis=None
-            )
-            stack.append((words, deg + df, y_used + dy))
+# twice the product with each factor f of a normal monomial, 2(a o f) =
+# a.f + f.a: (degree, second letters, the words of 2f with repeats)
+_FACTORS = (
+    (1, 0, (0b0,)),  # x
+    (1, 1, (0b1,)),  # y
+    (2, 0, (0b00, 0b00)),  # 2xx
+    (2, 1, (0b01, 0b10)),  # 2(x o y)
+    (2, 2, (0b11, 0b11)),  # 2yy
+)
 
 
 def _content_columns(n: int, ones: int):
@@ -158,7 +131,11 @@ def _content_columns(n: int, ones: int):
     for a word of another content), mirror[c] the column of the reverse
     of column c's word, and orbits the columns of the smaller word of each
     reversal orbit."""
-    words = np.array([m for m in range(2 ** n) if m.bit_count() == ones])
+    masks = np.arange(2 ** n)
+    weight = np.zeros_like(masks)
+    for i in range(n):
+        weight += (masks >> i) & 1
+    words = masks[weight == ones]
     rev = np.zeros_like(words)
     for i in range(n):
         rev |= ((words >> i) & 1) << (n - 1 - i)
@@ -167,54 +144,101 @@ def _content_columns(n: int, ones: int):
     return column, column[rev], np.flatnonzero(words <= rev)
 
 
-def _block_ranks(n: int, ones: int, primes) -> dict:
-    """Modular ranks of the Jordan span restricted to one letter content.
+def _lower_basis(d: int, ones: int, accs: dict):
+    """(words, basis, orbit_of) for block (d, ones): its words in increasing
+    order, the echelon basis in `accs` on its orbit columns, and for each
+    word the orbit column of its orbit, so that basis[:, orbit_of] holds
+    the basis rows on every word, reversal-fixed.  A block with more second
+    letters than first is read off the block of its letter swap:
+    complementing the bits reverses the order of the sorted words, so its
+    orbit_of is that block's, reversed."""
+    swap = 2 * ones > d
+    column, mirror, orbits = _content_columns(d, d - ones if swap else ones)
+    words = np.flatnonzero(column >= 0)
+    position = np.zeros(len(mirror), dtype=np.int64)
+    position[orbits] = np.arange(len(orbits))
+    # every word is an orbit's smaller word or the reverse of one
+    orbit_of = position[np.minimum(np.arange(len(mirror)), mirror)]
+    if swap:
+        words = ((1 << d) - 1) ^ words[::-1]
+        orbit_of = orbit_of[::-1]
+    return words, accs[d, d - ones if swap else ones].basis(), orbit_of
 
-    Expansions of monomials with a fixed letter content only touch words of
-    that content, so the full expansion matrix is block diagonal and each
-    block can be ranked on its own.  Every row is the expansion of a Jordan
-    monomial, hence reversal-fixed: its coefficients on w and on reverse(w)
-    agree.  The block is therefore ranked on one column per reversal orbit
-    {w, reverse(w)}, the smaller word's: on the fixed space that projection
-    is injective (a fixed vector vanishing on every orbit's smaller word
-    vanishes on its mirror too), so the rank is unchanged, and the orbit
-    count is the column count, at which row generation stops.
 
-    The symmetry is checked, not assumed: each batch is counted on all the
-    words of its content first, and ArithmeticError is raised unless every
-    word and its reverse carry the same coefficient in every row.
+def _block(n: int, ones: int, p: int, accs: dict) -> RankAccumulator:
+    """The span over F_p of block (n, ones), from the blocks of the two
+    degrees below in `accs`.
+
+    For n >= 2 the normal monomials of degree n are the products m o f of
+    a normal monomial m of degree n - |f| with a factor f of _FACTORS,
+    two-letter factors only where m has degree two or more.  Since
+    a -> 2(a o f) is linear over Z, the block's span mod p is the sum of
+    the products of the lower blocks' echelon bases with the factors, so
+    its rank over F_p is that of every expanded monomial.  The block is
+    ranked on one column per reversal orbit {w, reverse(w)}, the smaller
+    word's: on the fixed space that projection is injective, so the rank
+    is unchanged, and the orbit count is the column count, at which the
+    products stop.
+
+    The symmetry is checked, not assumed: each batch is built on all the
+    words of the content first, and ArithmeticError is raised for a word
+    of another content or unless every word and its reverse carry the
+    same coefficient in every row.
     """
     column, mirror, orbits = _content_columns(n, ones)
-    nwords = len(mirror)
-    # every word is an orbit's smaller word or the reverse of one
     partners = mirror[orbits]
-
-    def batches():
-        rows = _content_rows(n, ones)
-        while chunk := list(islice(rows, min(128, max(16, len(orbits))))):
-            full = np.zeros((len(chunk), nwords), dtype=np.int64)
-            for k, row in enumerate(chunk):
-                cols = column[row]
-                if (cols < 0).any():
-                    raise ArithmeticError(
-                        "degree %d expansion leaves the content with %d second letters"
-                        % (n, ones)
-                    )
-                full[k] = np.bincount(cols, minlength=nwords)
+    acc = RankAccumulator(len(orbits), p)
+    if n == 1:
+        acc.add([[1]])  # the letter
+        return acc
+    for deg, dy, factor in _FACTORS:
+        low = n - deg
+        if low < deg or not 0 <= ones - dy <= low:
+            continue
+        words, basis, orbit_of = _lower_basis(low, ones - dy, accs)
+        for start in range(0, len(basis), 256):
+            rows = basis[start : start + 256][:, orbit_of]
+            full = np.zeros((len(rows), len(mirror)), dtype=np.int64)
+            for f in factor:
+                for cols in (column[(words << deg) | f], column[(f << low) | words]):
+                    if (cols < 0).any():
+                        raise ArithmeticError(
+                            "degree %d expansion leaves the content with %d second letters"
+                            % (n, ones)
+                        )
+                    full[:, cols] += rows
             block = full[:, orbits]
             if not np.array_equal(block, full[:, partners]):
                 raise ArithmeticError(
                     "degree %d expansion with %d second letters is not reversal-fixed"
                     % (n, ones)
                 )
-            yield block
+            acc.add(block)
+            if acc.is_full:
+                return acc
+    return acc
 
-    return modular_ranks(batches(), len(orbits), primes)
+
+def _span_ranks(n: int, p: int) -> list:
+    """Ranks over F_p of the Jordan span's blocks (n, ones), ones = 0..n//2,
+    built degree by degree; only the last two degrees are kept."""
+    accs = {}
+    for d in range(1, n + 1):
+        accs = {key: acc for key, acc in accs.items() if key[0] >= d - 2}
+        for ones in range(d // 2 + 1):
+            accs[d, ones] = _block(d, ones, p, accs)
+    return [accs[n, ones].rank for ones in range(n // 2 + 1)]
 
 
 def jordan_span_dim(n: int, primes=None) -> int:
     """Rank of the span of straightened Jordan monomials in degree n;
-    refuses degrees above 14."""
+    refuses degrees above 14.
+
+    The span is block diagonal, one block per letter content.  Each prime
+    builds the blocks degree by degree from the two degrees below (_block),
+    and each block's rank is certified over the primes.  Swapping the two
+    letters matches block (n, ones) with (n, n - ones), so only
+    ones <= n//2 is ranked."""
     if n < 1:
         raise ValueError("degree must be positive")
     # the widest content block has n//2 second letters
@@ -226,11 +250,12 @@ def jordan_span_dim(n: int, primes=None) -> int:
             estimate="%d orbit columns, rank target %d" % (width, reversible_dim(n)),
         )
     primes = choose_primes(width, n, primes)
+    # one prime at a time: its bases are dropped before the next
+    ranks = {p: _span_ranks(n, p) for p in primes}
     total = 0
     for ones in range(n // 2 + 1):
-        # swapping the two letters matches the block with its mirror
         weight = 1 if 2 * ones == n else 2
-        total += weight * certify(_block_ranks(n, ones, primes))
+        total += weight * certify({p: ranks[p][ones] for p in primes})
     return total
 
 

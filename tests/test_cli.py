@@ -3,7 +3,6 @@
 import json
 import time
 
-import numpy as np
 import pytest
 
 import freejordan.cache as cache_mod
@@ -414,10 +413,9 @@ def test_cli_arithmetic_error_exits_two(capsys, monkeypatch):
 
 
 def test_cli_two_gen_rows_not_reversal_fixed_exit_two(capsys, monkeypatch):
-    def one_sided(n, ones):
-        yield np.array([(1 << ones) - 1])  # its reverse is absent
-
-    monkeypatch.setattr(twogen_mod, "_content_rows", one_sided)
+    # xy without its reverse yx, first so that no block is full before it
+    factors = [(2, 1, (0b01,))] + [f for f in twogen_mod._FACTORS if f[:2] != (2, 1)]
+    monkeypatch.setattr(twogen_mod, "_FACTORS", tuple(factors))
     code, _, err = run_cli(capsys, "two-gen", "--max-degree", "4", "--no-predictions")
     assert code == 2
     assert err.count("error:") == 1 and err.startswith("error:")

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 import freejordan.twogen as twogen_mod
 from freejordan.errors import InfeasibleError
+from freejordan.linalg import RankAccumulator, blas_primes
 from freejordan.tables import TWO_GEN_B_DIMS, TWO_GEN_DIMS
 from freejordan.twogen import (
+    _FACTORS,
     _content_columns,
-    _content_rows,
     _reversal_orbits,
     _reverse_mask,
+    _span_ranks,
     b_dim_two_gen,
     bracelet_count,
     jordan_span_dim,
@@ -106,7 +108,7 @@ def _ref_sym_concat(u: dict, v: dict, deg_u: int, deg_v: int) -> dict:
 
 def _ref_content_rows(n: int, ones: int):
     """The dict expansion of the normal monomials with `ones` second letters,
-    in the walk order: head pair, then factors of degree two, then one."""
+    depth first: head pair, then factors of degree two, then one."""
     letters = ({0: 1}, {1: 1})
     if n == 1:
         yield letters[ones]
@@ -139,16 +141,31 @@ def _ref_content_rows(n: int, ones: int):
             yield from extend(_ref_sym_concat(letters[a], letters[b], 1, 1), 2, dy)
 
 
-def test_content_rows_match_dict_reference():
+def _ref_rank(n, ones, p):
+    """Rank mod p of every expanded normal monomial with `ones` second
+    letters, on the orbit columns of its content."""
+    column, mirror, orbits = _content_columns(n, ones)
+    ref = list(_ref_content_rows(n, ones))
+    full = np.zeros((len(ref), len(mirror)), dtype=np.int64)
+    for k, row in enumerate(ref):
+        for word, count in row.items():
+            full[k, column[word]] = count
+    assert np.array_equal(full[:, orbits], full[:, mirror[orbits]])
+    return RankAccumulator(len(orbits), p).add(full[:, orbits])
+
+
+# mod 2 every 2(x o x) vanishes, so most blocks lose rank there and the
+# recursion runs on rank-deficient lower bases
+@pytest.mark.parametrize("p", [blas_primes(_reversal_orbits(10, 5))[0], 11, 13, 2])
+def test_span_ranks_match_the_full_expansion(p):
+    # the degree recursion on echelon bases against the rank of every
+    # normal monomial's expansion, block by block; the letter swap stands
+    # in for the blocks with more second letters than first
     for n in range(1, 11):
-        for ones in range(n + 1):
-            rows = list(_content_rows(n, ones))
-            ref = list(_ref_content_rows(n, ones))
-            assert len(rows) == len(ref), (n, ones)
-            for row, expected in zip(rows, ref):
-                assert row.dtype == np.int64
-                words, counts = np.unique(row, return_counts=True)
-                assert dict(zip(words.tolist(), counts.tolist())) == expected
+        ranks = _span_ranks(n, p)
+        assert [_ref_rank(n, ones, p) for ones in range(n + 1)] == [
+            ranks[min(ones, n - ones)] for ones in range(n + 1)
+        ], n
 
 
 def test_orbit_columns_sum_to_reversible_dim():
@@ -164,20 +181,15 @@ def test_orbit_columns_sum_to_reversible_dim():
         assert total == reversible_dim(n)
 
 
-def _one_sided_rows(n, ones):
-    # 0..01..1 without its reverse 1..10..0: not reversal-fixed for 0 < ones < n
-    yield np.array([(1 << ones) - 1])
-
-
-def _off_content_rows(n, ones):
-    # a word with one second letter too many
-    yield np.array([(1 << (ones + 1)) - 1])
-
-
-@pytest.mark.parametrize("rows", [_one_sided_rows, _off_content_rows])
-def test_span_refuses_rows_it_cannot_trust(monkeypatch, rows):
-    monkeypatch.setattr(twogen_mod, "_content_rows", rows)
-    with pytest.raises(ArithmeticError, match="reversal-fixed|leaves the content"):
+@pytest.mark.parametrize("xy, message", [
+    pytest.param((0b01,), "reversal-fixed", id="one_sided"),  # no yx
+    pytest.param((0b11, 0b10), "leaves the content", id="off_content"),  # yy for xy
+])
+def test_span_refuses_rows_it_cannot_trust(monkeypatch, xy, message):
+    # the broken factor goes first, so that no block is full before it is used
+    factors = [(2, 1, xy)] + [f for f in _FACTORS if f[:2] != (2, 1)]
+    monkeypatch.setattr(twogen_mod, "_FACTORS", tuple(factors))
+    with pytest.raises(ArithmeticError, match=message):
         jordan_span_dim(4)
 
 
@@ -196,9 +208,13 @@ def test_span_default_primes_match_31_bit_pair():
     assert jordan_span_dim(10) == jordan_span_dim(10, primes=(2147483647, 2147483629))
 
 
-@pytest.mark.slow
 def test_span_degree_twelve():
     assert jordan_span_dim(12) == 2080
+
+
+@pytest.mark.slow
+def test_span_degree_fourteen():
+    assert jordan_span_dim(14) == reversible_dim(14) == 8256
 
 
 def test_span_refuses_past_bound():
