@@ -319,8 +319,9 @@ def schur_in_powersums(shape: tuple) -> dict:
     }
 
 
-def schur_decompose(X: GradedCharacter, n: int) -> SnModule:
-    """Multiplicities of s_lambda in the degree-n part (exact, asserted integral)."""
+def schur_decompose(X: GradedCharacter, n: int, shapes=None) -> SnModule:
+    """Multiplicities of s_lambda in the degree-n part (exact, asserted
+    integral), over every partition of n or only over `shapes`."""
     if X.d is not None and X.d < n:
         raise ValueError("need at least %d variables to keep degree %d faithful" % (n, n))
     part = X.degree_part(n)
@@ -328,7 +329,7 @@ def schur_decompose(X: GradedCharacter, n: int) -> SnModule:
         raise ValueError("degree part still carries sl2 content")
     coeffs = {mu: c for (mu, _), c in part.items()}
     mults = {}
-    for shape in partitions(n):
+    for shape in partitions(n) if shapes is None else shapes:
         m = sum(coeffs.get(mu, 0) * character(shape, mu) for mu in coeffs)
         if m:
             if m.denominator != 1:

@@ -20,12 +20,12 @@ where it is not.  The batch echelon _rref recurses on halves and does
 every update between rows through it (the shape of FFLAS-FFPACK's PLUQ,
 Dumas-Giorgi-Pernet 2008).
 
-Relation matrices reach RankAccumulator through modular_ranks, one
-accumulator per prime over the same integer blocks; where a span is
-the direct sum of smaller ones plus fresh rows, through
-RankAccumulator.direct_sum and add; or, for the two-generator span in
-twogen, degree by degree through add of the products of the lower
-degrees' echelon bases.  A modular rank is reported only through
+Relation matrices reach RankAccumulator through add: in operad, one
+accumulator per prime takes each batch of a shape's rows until its rank
+is full; where a span is the direct sum of smaller ones plus fresh rows,
+through RankAccumulator.direct_sum and add; or, for the two-generator
+span in twogen, degree by degree through add of the products of the
+lower degrees' echelon bases.  A modular rank is reported only through
 certify, which compares the ranks of one matrix over several primes.
 Primes follow one rule, choose_primes: explicit ones
 must be primes p with n < p < 2**31 in degree n; the default is
@@ -316,23 +316,6 @@ class RankAccumulator:
         out[np.arange(self.rank), self._pivcols] = 1
         out[:, self._free] = self._x
         return out
-
-
-def modular_ranks(blocks, ncols: int, primes) -> dict:
-    """{p: rank over F_p} of the rows of the integer 2d arrays `blocks`.
-
-    Every block goes to one RankAccumulator per prime, in order.  A prime
-    whose rank reaches ncols takes no more blocks, and none is pulled once
-    every prime has.
-    """
-    accs = [RankAccumulator(ncols, p) for p in primes]
-    for block in blocks:
-        for acc in accs:
-            if not acc.is_full:
-                acc.add(block)
-        if all(acc.is_full for acc in accs):
-            break
-    return {acc.p: acc.rank for acc in accs}
 
 
 def add_scaled(dst: dict, src: dict, c=1) -> None:

@@ -22,21 +22,22 @@ by the type's slot symmetries, is known before any elimination from the
 character formula (1/|G|) sum_{g in G} chi^lambda(g), with G read off the
 type's tree; a kernel of any other width mod p is refused with
 ArithmeticError.  The multiplicity of the irreducible in the quotient is
-sum_ti c_ti - rank, certified modulo two primes.
+sum_ti c_ti - rank, certified modulo two primes; one walk of the
+generators ranks both, each integer band built once for every prime's Q.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice, permutations, product
 from math import factorial, isqrt
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import RankAccumulator, certify, choose_primes, modular_ranks
+from .linalg import RankAccumulator, certify, choose_primes
 from .multidegree import _jordan_row, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
@@ -197,18 +198,18 @@ def _projected_widths(shape: tuple, n: int) -> tuple:
     return tuple(out)
 
 
-def _slot_kernels(shape: tuple, n: int, p: int) -> list:
+def _slot_kernels(shape: tuple, n: int, p: int, clifton) -> list:
     """Per type, a d x c basis Q of the kernel mod p of the stacked
     (A(id) - A(t))^T over the type's slot swaps t, refused unless c is the
-    character-formula width."""
+    character-formula width; clifton(sigma) is the shape's A(sigma)."""
     d = dim_irrep(shape)
-    a_id = clifton_matrix(shape, tuple(range(n))).T.astype(np.int64)
+    a_id = clifton(tuple(range(n))).T.astype(np.int64)
     out = []
     for comp, width in zip(normal_types(n), _projected_widths(shape, n)):
         acc = RankAccumulator(d, p)
         swaps = type_swap_perms(comp, n)
         if swaps:
-            acc.add(np.concatenate([a_id - clifton_matrix(shape, t).T for t in swaps]))
+            acc.add(np.concatenate([a_id - clifton(t).T for t in swaps]))
         # remainders of the unit vectors: 0 on the pivot columns, and on
         # the free columns a map whose kernel is exactly the swaps' span
         rem = acc.reduce(np.eye(d, dtype=np.int64))
@@ -221,29 +222,33 @@ def _slot_kernels(shape: tuple, n: int, p: int) -> list:
     return out
 
 
-def _row_batches(shape: tuple, n: int, kernels: list, p: int):
-    """The generator rows on the slot-symmetry quotient: for each generator,
-    d rows whose band of type ti is (sum of c * A(sigma)^T over its terms
-    of that type) @ Q_ti, 24 generators to a batch, one band at a time."""
+def _row_batches(shape: tuple, n: int, kernels: dict, clifton):
+    """The generator rows on the slot-symmetry quotient, for every prime p
+    of kernels {p: [Q_ti]}: for each generator, d rows whose band of type
+    ti is (sum of c * A(sigma)^T over its terms of that type) @ Q_ti,p,
+    24 generators to a batch {p: rows}.  Each integer band is built once
+    and multiplied by every prime's Q."""
     d = dim_irrep(shape)
-    offsets = np.cumsum([0] + [q.shape[1] for q in kernels])
+    offsets = np.cumsum([0, *_projected_widths(shape, n)])
+    top = max(kernels)
     gens = iter(_sigma_expansion(n))
     while chunk := list(islice(gens, 24)):
         by_type: dict = {}
         for k, terms in enumerate(chunk):
             for ti, sigma, c in terms:
                 by_type.setdefault(ti, []).append((k, sigma, c))
-        batch = np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
+        batches = {p: np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
+                   for p in kernels}
         for ti, terms in by_type.items():
             band = np.zeros((len(chunk) * d, d), dtype=np.int64)
             for k, sigma, c in terms:
-                a = clifton_matrix(shape, sigma).T.astype(np.int64)
-                band[k * d : (k + 1) * d] += c * a
+                band[k * d : (k + 1) * d] += c * clifton(sigma).T.astype(np.int64)
             # signed small integers times residues: exact in int64
-            if int(np.abs(band).sum(axis=1).max()) * (p - 1) >= 2**63:
-                raise OverflowError("band sums too large for int64 products mod %d" % p)
-            batch[:, offsets[ti] : offsets[ti + 1]] = band @ kernels[ti]
-        yield batch
+            if int(np.abs(band).sum(axis=1).max()) * (top - 1) >= 2**63:
+                raise OverflowError("band sums too large for int64 products mod %d" % top)
+            for p, batch in batches.items():
+                batch[:, offsets[ti] : offsets[ti + 1]] = band @ kernels[p][ti]
+        yield batches
 
 
 def multiplicity(shape: tuple, n: int, primes=None) -> int:
@@ -251,12 +256,21 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     if sum(shape) != n:
         raise ValueError("shape %s is not a partition of %d" % (shape, n))
     width = sum(_projected_widths(shape, n))
-    ranks = {}
-    # one prime at a time: the kernels, and so the rows, depend on the prime
-    for p in choose_primes(width, n, primes):
-        kernels = _slot_kernels(shape, n, p)
-        ranks[p] = modular_ranks(_row_batches(shape, n, kernels, p), width, (p,))[p]
-    return width - certify(ranks)
+    # the shape's Clifton matrices, for the kernels and every prime's rows
+    clifton = cache(partial(clifton_matrix, shape))
+    kernels = {p: _slot_kernels(shape, n, p, clifton)
+               for p in choose_primes(width, n, primes)}
+    accs = {p: RankAccumulator(width, p) for p in kernels}
+    # one walk of the generators for all primes, until every rank is full
+    batches = _row_batches(shape, n, kernels, clifton)
+    while not all(acc.is_full for acc in accs.values()):
+        rows = next(batches, None)
+        if rows is None:
+            break
+        for p, acc in accs.items():
+            if not acc.is_full:
+                acc.add(rows[p])
+    return width - certify({p: acc.rank for p, acc in accs.items()})
 
 
 MAX_DEGREE = 9

@@ -10,6 +10,10 @@ row it occupies in t_i, and is then the sign of that column permutation.
 The representing matrix is rho(sigma) = A(id)^{-1} A(sigma); ranks of
 stacked A-blocks are unchanged by dropping the A(id)^{-1} factor, so the
 package works with A alone, in small integers.
+
+clifton_matrix keeps nothing between calls (one matrix per permutation
+adds up to gigabytes over a degree-10 shape); operad memoises them for
+one call of multiplicity.
 """
 
 from __future__ import annotations
@@ -114,10 +118,6 @@ def _shape_data(shape: tuple):
 
 def clifton_matrix(shape: tuple, sigma: tuple) -> np.ndarray:
     """A(sigma) as a read-only int8 matrix with entries in {-1, 0, 1}."""
-    key = (shape, sigma)
-    cached = _clifton_cache.get(key)
-    if cached is not None:
-        return cached
     row_of, cellvals, segments = _shape_data(shape)
     h = row_of.shape[0]
     s = np.asarray(sigma, dtype=np.int64)
@@ -137,8 +137,4 @@ def clifton_matrix(shape: tuple, sigma: tuple) -> np.ndarray:
         term = np.where(valid, 1 - 2 * (inv & 1), 0).astype(np.int8)
         acc *= term
     acc.setflags(write=False)
-    _clifton_cache[key] = acc
     return acc
-
-
-_clifton_cache: dict = {}

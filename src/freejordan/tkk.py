@@ -4,8 +4,9 @@ algebra, and Chevalley-Eilenberg homology.
 
 The chain of constructions: a Jordan algebra J gives multiplication
 operators L_a, inner derivations D_{a,b} = [L_a, L_b], the functorial
-replacement B(J) = Lambda^2(J) / (ab^c + bc^a + ca^b), and the Lie algebra
-sl2 (x) J  (+)  B(J) with brackets
+replacement B(J) = Lambda^2(J) / (ab^c + bc^a + ca^b) (with the Koszul
+signs of BSpace on a superalgebra), and the Lie algebra sl2 (x) J  (+)  B(J)
+with brackets
 
     [x(x)a, y(x)b] = [x,y](x)ab + 2 tr(xy) a^b,
     [a^b, x(x)c]   = x (x) D_{a,b}(c),
@@ -388,14 +389,16 @@ class BSpace:
         for pair in pairs:
             block = self._blocks.setdefault(self._key(pair), ([], ExactRowReducer()))
             block[0].append(pair)
-        # the row of (a, b, c) is the row of (b, c, a), so every nonzero
-        # row arises from a triple whose first product is nonzero
-        for (a, b), ab in J.table.items():
+        # the Koszul-signed relation
+        #   (-1)^{|a||c|} ab^c + (-1)^{|b||a|} bc^a + (-1)^{|c||b|} ca^b
+        # of (a, b, c) is that of (b, c, a), so every nonzero row arises
+        # from a triple whose first product is nonzero
+        for a, b in J.table:
             for c in range(J.dim):
                 row = {}
-                self._wedge_into(row, ab, c)
-                self._wedge_into(row, J.product(b, c), a)
-                self._wedge_into(row, J.product(c, a), b)
+                self._wedge_into(row, a, b, c)
+                self._wedge_into(row, b, c, a)
+                self._wedge_into(row, c, a, b)
                 if row:
                     self._blocks[self._key(next(iter(row)))][1].add(row)
         self.basis = []
@@ -410,9 +413,11 @@ class BSpace:
             return None
         return _deg_add(self.J.degree[pair[0]], self.J.degree[pair[1]])
 
-    def _wedge_into(self, row: dict, prod: dict, c: int) -> None:
+    def _wedge_into(self, row: dict, a: int, b: int, c: int) -> None:
+        # row += (-1)^{|a||c|} ab ^ e_c
         J = self.J
-        for m, cm in prod.items():
+        scale = -1 if J.parity[a] and J.parity[c] else 1
+        for m, cm in J.product(a, b).items():
             if m == c:
                 if not J.parity[m]:
                     continue
@@ -422,7 +427,7 @@ class BSpace:
             else:
                 s = 1 if (J.parity[m] and J.parity[c]) else -1
                 pair = (c, m)
-            v = row.get(pair, F0) + s * cm
+            v = row.get(pair, F0) + scale * s * cm
             if v:
                 row[pair] = v
             else:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .linalg import RankAccumulator, certify, choose_primes
+from .partitions import character, dim_irrep
 
 
 def mask_to_word(mask: int, n: int) -> tuple:
@@ -54,6 +55,23 @@ def reversible_dim(n: int) -> int:
     if n < 1:
         raise ValueError("degree must be positive")
     return (2 ** n + 2 ** ((n + 1) // 2)) // 2
+
+
+def two_row_multiplicity(shape: tuple) -> int:
+    """Multiplicity of S^shape in Jord(n), n = |shape|, for a shape with at
+    most two rows: (f^shape + chi^shape(w0))/2, w0 of cycle type
+    2^{n//2} 1^{n%2}.
+
+    For such shapes it is the multiplicity of the GL_2-irreducible of that
+    highest weight in J(2)_n (Schur-Weyl), and by Cohn-Shirshov J(2)_n is
+    the reversal-fixed part of V^{(x)n}, dim V = 2.  The reversal permutes
+    the tensor positions by the involution w0, so it fixes a space of
+    dimension (f + chi(w0))/2 in each S^shape."""
+    if len(shape) > 2:
+        raise ValueError("shape %s has more than two rows" % (shape,))
+    n = sum(shape)
+    w0 = (2,) * (n // 2) + (1,) * (n % 2)
+    return (dim_irrep(shape) + character(shape, w0)) // 2
 
 
 def reversible_basis(n: int) -> tuple:

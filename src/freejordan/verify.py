@@ -98,8 +98,10 @@ def _check(report, name, expected, provenance, compute):
 
 def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
     """The degree-19 story on two generators, from both directions."""
+    from .lambda_ring import km_prediction, schur_decompose
+    from .partitions import partitions
     from .series import check_sequence, conjecture_series, predict_dims
-    from .twogen import reversible_dim
+    from .twogen import reversible_dim, two_row_multiplicity
 
     rep = VerificationReport("counterexample")
     _check(
@@ -136,6 +138,22 @@ def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
         2,
         "difference of the two values above",
         lambda: predict_dims(2, 19).dim(19) - reversible_dim(19),
+    )
+
+    def two_row_gap():
+        # only the two-row shapes: the full decomposition of degree 19 is slow
+        a, _b = km_prediction(19, 19)
+        shapes = [s for s in partitions(19) if len(s) <= 2]
+        predicted = schur_decompose(a, 19, shapes).mults
+        gap = {s: predicted.get(s, 0) - two_row_multiplicity(s) for s in shapes}
+        return {s: k for s, k in gap.items() if k}
+
+    _check(
+        rep,
+        "predicted minus actual in degree 19 is exactly one copy of S^(10,9)",
+        {(10, 9): 1},
+        "character recursion against the Cohn-Shirshov closed form",
+        two_row_gap,
     )
 
     def pinned():

@@ -16,7 +16,6 @@ from freejordan.linalg import (
     certify,
     choose_primes,
     is_prime,
-    modular_ranks,
 )
 from freejordan.multidegree import multidegree_dim
 from freejordan.operad import jord_module, multiplicity, naive_dim
@@ -126,32 +125,6 @@ def test_choose_primes_default_and_explicit():
 def test_library_refuses_explicit_primes_outside_the_rule(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-@given(matrices(40), st.data())
-@settings(max_examples=60, deadline=None)
-def test_modular_ranks_match_gauss_and_stop_at_cap(m, data):
-    ncols = len(m[0])
-    rows = np.asarray(m, dtype=np.int64)
-    cuts = data.draw(st.sets(st.integers(1, max(1, len(m) - 1))))
-    blocks = np.split(rows, sorted(cuts))
-    primes = (blas_primes(ncols)[0], P31[0])
-    r = gauss_rank_oracle(m)
-    assert modular_ranks(iter(blocks), ncols, primes) == {p: r for p in primes}
-    pulled = []
-
-    def counted():
-        # an identity block makes the rank full; the block after it is never pulled
-        for block in blocks + [np.eye(ncols, dtype=np.int64), rows]:
-            pulled.append(block)
-            yield block
-
-    assert modular_ranks(counted(), ncols, primes) == {p: ncols for p in primes}
-    # the first block after which the rows so far have rank ncols ends the feed
-    first = next((k for k in range(1, len(blocks) + 1)
-                  if gauss_rank_oracle(rows[: sum(map(len, blocks[:k]))].tolist()) == ncols),
-                 len(blocks) + 1)
-    assert len(pulled) == first
 
 
 @given(small_matrices)

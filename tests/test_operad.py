@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from freejordan.errors import InfeasibleError
 from freejordan.linalg import RankAccumulator, blas_primes
 from freejordan.operad import (
     _projected_widths,
+    _row_batches,
+    _sigma_expansion,
     _slot_kernels,
     _translate_span,
     _tree_basis,
@@ -35,6 +39,9 @@ from freejordan.trees import (
     type_swap_perms,
 )
 from test_trees import eval_monomials, eval_tree, random_symmetric, random_tree
+
+# 31-bit primes: the band products are int64 on residues near 2^31
+P31 = (2147483647, 2147483629)
 
 
 def test_generator_counts():
@@ -217,7 +224,7 @@ def test_projected_widths_match_the_kernels_mod_p():
         for shape in partitions(n):
             widths = _projected_widths(shape, n)
             p = blas_primes(sum(widths))[0]
-            kernels = _slot_kernels(shape, n, p)
+            kernels = _slot_kernels(shape, n, p, partial(clifton_matrix, shape))
             assert [q.shape[1] for q in kernels] == list(widths)
             a_id = clifton_matrix(shape, tuple(range(n))).T.astype(np.int64)
             for comp, q in zip(normal_types(n), kernels):
@@ -225,6 +232,65 @@ def test_projected_widths_match_the_kernels_mod_p():
                     assert not ((a_id - clifton_matrix(shape, t).T) @ q % p).any()
                 acc = RankAccumulator(dim_irrep(shape), p)
                 assert acc.add(q.T) == q.shape[1]
+
+
+@pytest.mark.parametrize("pair", ["blas", "31-bit"])
+def test_row_batches_give_every_prime_its_own_rows(pair):
+    # one walk for all primes: each prime's rows equal, mod p, the rows
+    # built for that prime alone, generator by generator, in exact integers
+    for n in range(4, 8):
+        gens = _sigma_expansion(n)
+        for shape in partitions(n):
+            d = dim_irrep(shape)
+            widths = _projected_widths(shape, n)
+            primes = blas_primes(sum(widths)) if pair == "blas" else P31
+            clifton = partial(clifton_matrix, shape)
+            kernels = {p: _slot_kernels(shape, n, p, clifton) for p in primes}
+            batches = list(_row_batches(shape, n, kernels, clifton))
+            for p in primes:
+                got = np.concatenate([b[p] for b in batches]) % p
+                assert got.shape == (len(gens) * d, sum(widths))
+                for g, terms in enumerate(gens):
+                    bands = [np.zeros((d, d), dtype=object) for _ in widths]
+                    for ti, sigma, c in terms:
+                        bands[ti] += c * clifton_matrix(shape, sigma).T.astype(object)
+                    want = np.concatenate(
+                        [band @ q.astype(object) % p
+                         for band, q in zip(bands, kernels[p])], axis=1)
+                    assert (got[g * d : (g + 1) * d] == want).all()
+
+
+def test_multiplicity_pulls_no_batch_once_every_prime_is_full(monkeypatch):
+    import freejordan.operad as operad_mod
+
+    n = 5
+    # one generator per (permutation, type): their rows span every column,
+    # so both ranks are full long before the last batch
+    expansion = tuple(((ti, sigma, 1),) for sigma in permutations(range(n))
+                      for ti in range(len(normal_types(n))))
+    monkeypatch.setattr(operad_mod, "_sigma_expansion", lambda m: expansion)
+    pulled = []
+
+    def counted(*args):
+        for rows in _row_batches(*args):
+            pulled.append(rows)
+            yield rows
+
+    monkeypatch.setattr(operad_mod, "_row_batches", counted)
+    # the sign representation has width 0: full before any batch
+    assert multiplicity((1,) * n, n) == 0
+    assert pulled == []
+    shape = (3, 2)
+    assert multiplicity(shape, n) == 0
+    assert 0 < len(pulled) < len(expansion) / 24
+    width = sum(_projected_widths(shape, n))
+    accs = {p: RankAccumulator(width, p) for p in pulled[0]}
+    for rows in pulled:
+        # every batch pulled found some prime short of full rank
+        assert not all(acc.is_full for acc in accs.values())
+        for p, acc in accs.items():
+            acc.add(rows[p])
+    assert all(acc.is_full for acc in accs.values())
 
 
 def test_projected_widths_spot_values():

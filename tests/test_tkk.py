@@ -248,11 +248,34 @@ def _kaplansky_k3():
     return AlgebraFD("jordan", ("e", "x", "y"), table, parity=(0, 1, 1))
 
 
+def _matrix_superalgebra(m, n):
+    """M(m|n)^+: E_ij of parity |i| + |j|, index i odd from m on, under
+    a.b = (ab + (-1)^{|a||b|} ba)/2."""
+    pairs = list(itertools.product(range(m + n), repeat=2))
+    idx = {pr: k for k, pr in enumerate(pairs)}
+    parity = tuple(int(i >= m) ^ int(j >= m) for i, j in pairs)
+    half = Fraction(1, 2)
+    table = {}
+    for (i, j), a in idx.items():
+        for (k, l), b in idx.items():
+            entry = Counter()
+            if j == k:
+                entry[idx[i, l]] += half
+            if l == i:
+                entry[idx[k, j]] += -half if parity[a] and parity[b] else half
+            entry = {t: x for t, x in entry.items() if x}
+            if entry:
+                table[a, b] = entry
+    return AlgebraFD("jordan", tuple("e%d%d" % pr for pr in pairs), table,
+                     parity=parity)
+
+
 def _ref_b_space(J):
-    """B(J) by the full scan: the cyclic relation of every one of the dim**3
-    ordered triples, reduced per degree block on integer columns in the
-    order of the block's wedge pairs.  Returns the basis, the graded
-    dimensions (None when J is ungraded) and the pivot rows per block."""
+    """B(J) by the full scan: the Koszul-signed cyclic relation of every one
+    of the dim**3 ordered triples, reduced per degree block on integer
+    columns in the order of the block's wedge pairs.  Returns the basis,
+    the graded dimensions (None when J is ungraded) and the pivot rows per
+    block."""
 
     def key(pr):
         if J.degree is None:
@@ -277,10 +300,12 @@ def _ref_b_space(J):
     for a, b, c in itertools.product(range(J.dim), repeat=3):
         row = Counter()
         for (u, v), w in (((a, b), c), ((b, c), a), ((c, a), b)):
+            # the Koszul sign (-1)^{|u||w|} of uv ^ w
+            koszul = -1 if J.parity[u] and J.parity[w] else 1
             for m, cm in J.product(u, v).items():
                 term = wedge(m, w)
                 if term:
-                    row[term[0]] += term[1] * cm
+                    row[term[0]] += koszul * term[1] * cm
         row = {pr: x for pr, x in row.items() if x}
         if row:
             reds[key(next(iter(row)))].add({index[pr]: x for pr, x in row.items()})
@@ -304,7 +329,8 @@ def _ref_b_space(J):
     lambda: truncated_free_jordan(3, 3),
     lambda: symmetric_matrix_jordan(3),
     _kaplansky_k3,
-], ids=["free-2-4", "free-3-3", "sym3", "kaplansky-k3"])
+    lambda: _matrix_superalgebra(2, 1),
+], ids=["free-2-4", "free-3-3", "sym3", "kaplansky-k3", "matrix-2-1"])
 def test_b_space_matches_the_full_triple_scan(build):
     J = build()
     B = b_space(J)
@@ -315,13 +341,29 @@ def test_b_space_matches_the_full_triple_scan(build):
     assert {k: red.pivot_rows for k, (_, red) in B._blocks.items()} == pivots
 
 
-@pytest.mark.xfail(raises=RuntimeError, strict=True,
-                   reason="tag(K3) fails its own Jacobi check")
+def _even_odd(L):
+    return L.parity.count(0), L.parity.count(1)
+
+
 def test_tag_of_the_kaplansky_superalgebra():
-    # K3 is a simple Jordan superalgebra, so its TAG algebra exists; a fix
-    # of the super signs in b_space or tag turns this into a pass
+    # tag checks Jacobi on its output; it passes only with the Koszul signs
     L = tag(_kaplansky_k3())
-    assert L.dim > 0
+    assert L.dim == 14 and _even_odd(L) == (6, 8)
+    assert ce_homology(L, 1).dims == (1, 0)
+
+
+@pytest.mark.parametrize("m, n, even, odd", [
+    (2, 1, 19, 16),  # sl(4|2)
+    (1, 2, 19, 16),
+    (1, 1, 9, 8),
+    (2, 0, 15, 0),  # sl4
+])
+def test_tag_of_matrix_superalgebras(m, n, even, odd):
+    J = _matrix_superalgebra(m, n)
+    J.check()
+    L = tag(J)
+    assert _even_odd(L) == (even, odd)
+    assert ce_homology(L, 1).dims == (1, 0)
 
 
 # ---------------------------------------------------------------- tag

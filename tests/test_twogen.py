@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import freejordan.twogen as twogen_mod
 from freejordan.errors import InfeasibleError
 from freejordan.linalg import RankAccumulator, blas_primes
-from freejordan.tables import TWO_GEN_B_DIMS, TWO_GEN_DIMS
+from freejordan.lambda_ring import km_prediction, schur_decompose
+from freejordan.partitions import partitions
+from freejordan.tables import JORDAN_MODULE, TWO_GEN_B_DIMS, TWO_GEN_DIMS
 from freejordan.twogen import (
     _FACTORS,
     _content_columns,
@@ -26,6 +28,7 @@ from freejordan.twogen import (
     reversible_basis,
     reversible_dim,
     two_gen_table,
+    two_row_multiplicity,
 )
 
 LONG = os.environ.get("FREEJORDAN_LONG_TESTS") == "1"
@@ -45,6 +48,27 @@ def test_reversible_dims_match_table():
 
 def test_reversible_dim_19_value():
     assert reversible_dim(19) == 262656
+
+
+def _two_row_shapes(n):
+    return [s for s in partitions(n) if len(s) <= 2]
+
+
+def test_two_row_multiplicity_certifies_the_degree_19_gap():
+    # the closed form against the rank method's frozen tables ...
+    for n in range(1, 11):
+        for shape in _two_row_shapes(n):
+            assert two_row_multiplicity(shape) == JORDAN_MODULE[n].get(shape, 0)
+    # ... and against the prediction: equal through degree 18, and in
+    # degree 19 one copy of S^(10,9) short of it
+    a, _b = km_prediction(19, 19)
+    for n in range(1, 20):
+        shapes = _two_row_shapes(n)
+        predicted = schur_decompose(a, n, shapes).mults
+        gap = {s: predicted.get(s, 0) - two_row_multiplicity(s) for s in shapes}
+        assert {s: k for s, k in gap.items() if k} == ({(10, 9): 1} if n == 19 else {})
+    with pytest.raises(ValueError, match="two rows"):
+        two_row_multiplicity((2, 1, 1))
 
 
 def test_reversible_basis_counts_match_formula():
