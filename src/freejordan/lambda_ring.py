@@ -39,6 +39,28 @@ for every m <= N/n (log lambda(s) = -sum_m psi^m(s)/m).  The division by
 n is exact in exact arithmetic; a remainder means a bug, and raises
 ArithmeticError rather than rounding.  a and b are converted back to
 Fraction coefficients only at the end.
+
+The products G_j F_{n-j} run on packed ints (Kronecker substitution).
+Every q-exponent k in degree j is even with |k| <= 2j, so the degree-j
+polynomial sum_k c_k q^k packs into the one int sum_k c_k 2^(B(k/2 + j)):
+2j + 1 digits of B bits.  The offsets add, (k/2 + j) + (l/2 + n - j) =
+(k + l)/2 + n, so the product of a packed degree-j and a packed degree-
+(n - j) polynomial is the packed degree-n product, and each pair (mu, nu)
+costs one product of ints.  Each K[lam] is read back once per degree as
+balanced base-2^B digits, which is exact while every coefficient has
+|c| < 2^(B-1).
+
+B_n comes from a bound, not from the values it must hold.  For fixed lam
+and j the pairs are indexed by mu alone (nu = lam - mu), and
+z_lam/(z_mu z_nu) = prod_i C(m_i(mu) + m_i(nu), m_i(mu)) <= 2^len(lam)
+<= 2^n, since C(a + b, a) <= 2^(a+b) and the m_i(lam) sum to len(lam).
+A coefficient of g f is at most |g|_1 max|f|, so every coefficient of K
+in degree n is at most
+
+    2^n sum_{j=1..n} |G_j|_1 max|F_{n-j}|,
+
+|G_j|_1 the sum of every |c| in G_j and max|F_m| the largest |c| in F_m.
+B_n = bit_length(that bound) + 2 leaves every |c| below 2^(B_n - 2).
 """
 
 from __future__ import annotations
@@ -206,43 +228,70 @@ L0 = {0: 1}
 L2 = l_character(2)
 
 
+def _digit_width(bound: int) -> int:
+    """Bits per packed coefficient when no coefficient exceeds `bound` in
+    absolute value: |c| < 2^(B-2), so every balanced digit is exact."""
+    return bound.bit_length() + 2
+
+
+def _pack(poly: dict, j: int, B: int) -> int:
+    """The degree-j q-polynomial {k: c} as one int: c at bit B*(k/2 + j)."""
+    x = 0
+    for k, c in poly.items():
+        x += c << B * (k // 2 + j)
+    return x
+
+
+def _unpack(x: int, j: int, B: int) -> dict:
+    """The q-polynomial {k: c} packed in x as a degree-j one, read as
+    balanced base-2^B digits, lowest first; needs every |c| < 2^(B-1)."""
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = {}
+    for k in range(-2 * j, 2 * j + 1, 2):
+        c = x & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            out[k] = c
+        x = (x - c) >> B
+    if x:
+        raise ArithmeticError("packed q-polynomial outruns its %d digits" % (2 * j + 1))
+    return out
+
+
 def _solve_raw(N: int) -> tuple:
     """The recursion on integer p_mu/z_mu coordinates (see module docstring).
 
     F[n] and G[n] map mu to {k: c}, the coefficient of p_mu q^k / z_mu in
     the degree-n part of F = lambda(solved so far) and of
-    G = D(log F), D multiplying degree n by n.
+    G = D(log F), D multiplying degree n by n.  Each degree's products
+    run on packed ints (_pack) of the digit width its bound allows;
+    F_max[n] is the largest |c| in F[n] and G_norm[n] the sum of every
+    |c| in G[n], kept up to date as G[n] gains steps.
     """
-    merged = {}
-
-    def merge(mu, nu):
-        # (p_mu/z_mu)(p_nu/z_nu) = factor * p_lam/z_lam, factor = z_lam/(z_mu z_nu)
-        hit = merged.get((mu, nu))
-        if hit is None:
-            lam = _merge_partitions(mu, nu)
-            hit = merged[(mu, nu)] = (lam, zee(lam) // (zee(mu) * zee(nu)))
-        return hit
-
+    # through the module's zee, which a test may replace
+    zees = {mu: zee(mu) for m in range(N + 1) for mu in partitions(m)}
     F = [{(): {0: 1}}] + [{} for _ in range(N)]
     G = [{} for _ in range(N + 1)]
+    F_max = [1] + [0] * N
+    G_norm = [0] * (N + 1)
     a, b = {}, {}
     for n in range(1, N + 1):
         # D(F) = D(log F) * F, read in degree n
+        B = _digit_width(sum(G_norm[j] * F_max[n - j] for j in range(1, n + 1)) << n)
         K = {}
         for j in range(1, n + 1):
-            rest = F[n - j]
+            rest = [(nu, zees[nu], _pack(fpoly, n - j, B)) for nu, fpoly in F[n - j].items()]
             for mu, gpoly in G[j].items():
-                for nu, fpoly in rest.items():
-                    lam, factor = merge(mu, nu)
-                    out = K.setdefault(lam, {})
-                    for k, g in gpoly.items():
-                        g *= factor
-                        for l, f in fpoly.items():
-                            out[k + l] = out.get(k + l, 0) + g * f
+                g, z_mu = _pack(gpoly, j, B), zees[mu]
+                for nu, z_nu, f in rest:
+                    lam = _merge_partitions(mu, nu)
+                    K[lam] = K.get(lam, 0) + zees[lam] // (z_mu * z_nu) * g * f
         if n == 1:
-            K[(1,)] = {}  # a_1 = p_1 is the only unknown not read off K
+            K[(1,)] = 0  # a_1 = p_1 is the only unknown not read off K
         step = {}
-        for lam, poly in K.items():
+        for lam, x in K.items():
+            poly = _unpack(x, n, B)
             for k, c in poly.items():
                 poly[k], r = divmod(c, n)
                 if r:
@@ -261,11 +310,11 @@ def _solve_raw(N: int) -> tuple:
                 step[lam] = {-2: a_c, 0: a_c + b_c, 2: a_c}
                 for k, c in step[lam].items():
                     poly[k] = poly.get(k, 0) - c
-        # F_n = K - step, without zero coefficients
-        for lam, poly in K.items():
+            # F_n = K - step, without zero coefficients
             poly = {k: c for k, c in poly.items() if c}
             if poly:
                 F[n][lam] = poly
+                F_max[n] = max(F_max[n], *map(abs, poly.values()))
         # log lambda(step) = -sum_m psi^m(step) / m lands in degrees n*m
         for m in range(1, N // n + 1):
             Gnm = G[n * m]
@@ -274,10 +323,12 @@ def _solve_raw(N: int) -> tuple:
                 out = Gnm.setdefault(tuple(m * part for part in lam), {})
                 for k, c in spoly.items():
                     if c:
-                        out[m * k] = out.get(m * k, 0) + w * c
+                        old = out.get(m * k, 0)
+                        out[m * k] = new = old + w * c
+                        G_norm[n * m] += abs(new) - abs(old)
     return (
-        GradedCharacter(N, {(lam, 0): Fraction(c, zee(lam)) for lam, c in a.items()}),
-        GradedCharacter(N, {(lam, 0): Fraction(c, zee(lam)) for lam, c in b.items()}),
+        GradedCharacter(N, {(lam, 0): Fraction(c, zees[lam]) for lam, c in a.items()}),
+        GradedCharacter(N, {(lam, 0): Fraction(c, zees[lam]) for lam, c in b.items()}),
     )
 
 

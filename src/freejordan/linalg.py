@@ -26,7 +26,8 @@ is full; where a span is the direct sum of smaller ones plus fresh rows,
 through RankAccumulator.direct_sum and add; or, for the two-generator
 span in twogen, degree by degree through add of the products of the
 lower degrees' echelon bases.  A modular rank is reported only through
-certify, which compares the ranks of one matrix over several primes.
+certify, which compares the ranks of one matrix over several primes, or
+takes a full rank (the column count) from one prime.
 Primes follow one rule, choose_primes: explicit ones
 must be primes p with n < p < 2**31 in degree n; the default is
 blas_primes(width), the largest primes for which the kernel on that many
@@ -152,15 +153,20 @@ def bareiss_rank(rows) -> int:
     return r
 
 
-def certify(ranks: dict) -> int:
+def certify(ranks: dict, ncols: int | None = None) -> int:
     """The rank of one matrix, given its ranks modulo several primes.
 
     Modular rank never exceeds the rational rank, so disagreement convicts
     the smaller values; UnluckyPrimeError names the offending primes.
+    The rational rank never exceeds the column count either, so a matrix
+    of `ncols` columns with that rank modulo one prime has it over Q: a
+    smaller rank at another prime is then an unlucky prime, not an error.
     """
     if not ranks:
         raise ValueError("no primes given: a rank needs at least one prime")
     values = set(ranks.values())
+    if ncols in values:
+        return ncols
     if len(values) > 1:
         raise UnluckyPrimeError(ranks)
     return values.pop()

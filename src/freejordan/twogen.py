@@ -15,7 +15,11 @@ products are rows on the block's words, and since every such row is
 reversal-fixed (which each batch checks) a block is ranked on one column
 per reversal orbit {w, reverse(w)}, about half of its words.  A block
 with more second letters than first is its letter-swap mirror.  That
-keeps the rank cheap enough to be pushed through degree 14.
+keeps the rank cheap enough to be pushed through degree 14.  One walk
+of the degrees per prime reports every degree's ranks, and the second
+prime is walked only if some block falls short of its orbit count at the
+first: a block of full rank mod p has full rank over Q, and by Cohn and
+Shirshov every block is full.
 
 The graded dimension of the quotient that measures inner derivations
 follows the closed counting formula
@@ -238,25 +242,25 @@ def _block(n: int, ones: int, p: int, accs: dict) -> RankAccumulator:
 
 
 def _span_ranks(n: int, p: int) -> list:
-    """Ranks over F_p of the Jordan span's blocks (n, ones), ones = 0..n//2,
-    built degree by degree; only the last two degrees are kept."""
-    accs = {}
+    """Ranks over F_p of the Jordan span's blocks, built degree by degree:
+    entry d - 1 lists the ranks of blocks (d, ones), ones = 0..d//2, for
+    d = 1..n.  Only the last two degrees' bases are kept."""
+    accs, ranks = {}, []
     for d in range(1, n + 1):
         accs = {key: acc for key, acc in accs.items() if key[0] >= d - 2}
         for ones in range(d // 2 + 1):
             accs[d, ones] = _block(d, ones, p, accs)
-    return [accs[n, ones].rank for ones in range(n // 2 + 1)]
+        ranks.append([accs[d, ones].rank for ones in range(d // 2 + 1)])
+    return ranks
 
 
-def jordan_span_dim(n: int, primes=None) -> int:
-    """Rank of the span of straightened Jordan monomials in degree n;
-    refuses degrees above 14.
+def _span_dims(n: int, primes=None) -> list:
+    """Ranks of the span of straightened Jordan monomials in degrees 1..n,
+    from one walk of the degrees per prime; refuses degrees above 14.
 
-    The span is block diagonal, one block per letter content.  Each prime
-    builds the blocks degree by degree from the two degrees below (_block),
-    and each block's rank is certified over the primes.  Swapping the two
-    letters matches block (n, ones) with (n, n - ones), so only
-    ones <= n//2 is ranked."""
+    A block whose rank mod p is its column count (its reversal orbits) has
+    that rank over Q (certify), so the other primes are walked only if some
+    block falls short at the first.  By Cohn-Shirshov no block does."""
     if n < 1:
         raise ValueError("degree must be positive")
     # the widest content block has n//2 second letters
@@ -268,13 +272,32 @@ def jordan_span_dim(n: int, primes=None) -> int:
             estimate="%d orbit columns, rank target %d" % (width, reversible_dim(n)),
         )
     primes = choose_primes(width, n, primes)
+    columns = {
+        (d, ones): _reversal_orbits(d, ones) for d in range(1, n + 1) for ones in range(d // 2 + 1)
+    }
     # one prime at a time: its bases are dropped before the next
-    ranks = {p: _span_ranks(n, p) for p in primes}
-    total = 0
-    for ones in range(n // 2 + 1):
-        weight = 1 if 2 * ones == n else 2
-        total += weight * certify({p: ranks[p][ones] for p in primes})
-    return total
+    first = _span_ranks(n, primes[0])
+    ranks = {primes[0]: first}
+    if any(first[d - 1][ones] < cols for (d, ones), cols in columns.items()):
+        ranks.update((p, _span_ranks(n, p)) for p in primes[1:])
+    dims = [0] * n
+    for (d, ones), cols in columns.items():
+        rank = certify({p: r[d - 1][ones] for p, r in ranks.items()}, cols)
+        dims[d - 1] += rank if 2 * ones == d else 2 * rank
+    return dims
+
+
+def jordan_span_dim(n: int, primes=None) -> int:
+    """Rank of the span of straightened Jordan monomials in degree n;
+    refuses degrees above 14.
+
+    The span is block diagonal, one block per letter content.  The first
+    prime builds the blocks degree by degree from the two degrees below
+    (_block); the other primes are walked only if some block falls short
+    of full rank there, and each block's rank is certified over the primes
+    walked.  Swapping the two letters matches block (n, ones) with
+    (n, n - ones), so only ones <= n//2 is ranked."""
+    return _span_dims(n, primes)[-1]
 
 
 @cache
@@ -290,15 +313,18 @@ def two_gen_table(max_degree: int = 20, span_bound: int = 12, predictions: bool 
 
     Each row carries the degree, the reversible dimension, the Jordan
     spanning rank (None above span_bound), the inner-derivation dimension,
-    the predicted counterparts, and match flags.
+    the predicted counterparts, and match flags.  The spanning ranks of
+    every degree come from one walk of the degrees (_span_dims).
     """
     pred_a = pred_b = None
     if predictions:
         pred_a, pred_b = _predicted_dims(max_degree)
+    top = min(span_bound, max_degree)
+    spans = _span_dims(top) if top >= 1 else []
     rows = []
     for n in range(1, max_degree + 1):
         rev = reversible_dim(n)
-        span = jordan_span_dim(n) if n <= span_bound else None
+        span = spans[n - 1] if n <= len(spans) else None
         bdim = b_dim_two_gen(n)
         row = {
             "n": n,

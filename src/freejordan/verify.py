@@ -140,11 +140,12 @@ def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
         lambda: predict_dims(2, 19).dim(19) - reversible_dim(19),
     )
 
-    def two_row_gap():
-        # only the two-row shapes: the full decomposition of degree 19 is slow
-        a, _b = km_prediction(19, 19)
-        shapes = [s for s in partitions(19) if len(s) <= 2]
-        predicted = schur_decompose(a, 19, shapes).mults
+    def two_row_gap(n):
+        # only the two-row shapes: the full decomposition of degree 19 is
+        # slow; one solve through degree 20 serves both degrees
+        a, _b = km_prediction(20, 20)
+        shapes = [s for s in partitions(n) if len(s) <= 2]
+        predicted = schur_decompose(a, n, shapes).mults
         gap = {s: predicted.get(s, 0) - two_row_multiplicity(s) for s in shapes}
         return {s: k for s, k in gap.items() if k}
 
@@ -153,7 +154,14 @@ def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
         "predicted minus actual in degree 19 is exactly one copy of S^(10,9)",
         {(10, 9): 1},
         "character recursion against the Cohn-Shirshov closed form",
-        two_row_gap,
+        lambda: two_row_gap(19),
+    )
+    _check(
+        rep,
+        "predicted minus actual in degree 20 is {(11,9): 2, (10,10): 2}",
+        {(11, 9): 2, (10, 10): 2},
+        "character recursion against the Cohn-Shirshov closed form",
+        lambda: two_row_gap(20),
     )
 
     def pinned():

@@ -308,6 +308,19 @@ def test_cli_two_gen_table(capsys):
     assert all(r["dim_match"] and r["b_dim_match"] for r in rows)
 
 
+def test_cli_two_gen_refuses_a_span_bound_past_14_before_any_span(capsys, monkeypatch):
+    import freejordan.twogen as twogen_mod
+
+    def no_walk(*args):
+        raise AssertionError("a block was built before the refusal")
+
+    monkeypatch.setattr(twogen_mod, "_span_ranks", no_walk)
+    code, out, err = run_cli(capsys, "two-gen", "--max-degree", "16",
+                             "--span-bound", "15", "--no-predictions")
+    assert code == 3 and not out
+    assert "3235-column block" in err
+
+
 def test_cli_two_gen_csv(capsys):
     import csv as csv_mod
     import io

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from freejordan.lambda_ring import (
     GradedCharacter,
     L2,
+    _digit_width,
+    _merge_partitions,
+    _pack,
+    _solve_raw,
+    _unpack,
     adams,
     dims_from_character,
     effectivity_check,
@@ -21,7 +26,7 @@ from freejordan.lambda_ring import (
     times_sl2,
     unit,
 )
-from freejordan.partitions import SnModule, partitions
+from freejordan.partitions import SnModule, partitions, zee
 from freejordan.series import predict_dims
 
 
@@ -286,6 +291,90 @@ def test_solution_matches_product_of_lambdas(N):
     a_ref, b_ref = product_of_lambdas_oracle(N)
     assert a.terms == a_ref.terms
     assert b.terms == b_ref.terms
+
+
+def _ref_solve_raw(N):
+    """The recursion of _solve_raw on dicts {k: c} of q-coefficients, with
+    no packing: the reference for the packed products."""
+    F = [{(): {0: 1}}] + [{} for _ in range(N)]
+    G = [{} for _ in range(N + 1)]
+    a, b = {}, {}
+    for n in range(1, N + 1):
+        K = {}
+        for j in range(1, n + 1):
+            for mu, gpoly in G[j].items():
+                for nu, fpoly in F[n - j].items():
+                    lam = _merge_partitions(mu, nu)
+                    factor = zee(lam) // (zee(mu) * zee(nu))
+                    out = K.setdefault(lam, {})
+                    for k, g in gpoly.items():
+                        for l, f in fpoly.items():
+                            out[k + l] = out.get(k + l, 0) + factor * g * f
+        if n == 1:
+            K[(1,)] = {}
+        step = {}
+        for lam, poly in K.items():
+            for k, c in poly.items():
+                assert c % n == 0
+                poly[k] = c // n
+            a_c = poly.get(2, 0) - poly.get(4, 0) + (1 if lam == (1,) else 0)
+            b_c = poly.get(0, 0) - poly.get(2, 0)
+            if a_c:
+                a[lam] = a_c
+            if b_c:
+                b[lam] = b_c
+            if a_c or b_c:
+                step[lam] = {-2: a_c, 0: a_c + b_c, 2: a_c}
+                for k, c in step[lam].items():
+                    poly[k] = poly.get(k, 0) - c
+            poly = {k: c for k, c in poly.items() if c}
+            if poly:
+                F[n][lam] = poly
+        for m in range(1, N // n + 1):
+            for lam, spoly in step.items():
+                out = G[n * m].setdefault(tuple(m * part for part in lam), {})
+                for k, c in spoly.items():
+                    out[m * k] = out.get(m * k, 0) - n * m ** len(lam) * c
+    return (
+        GradedCharacter(N, {(lam, 0): Fraction(c, zee(lam)) for lam, c in a.items()}),
+        GradedCharacter(N, {(lam, 0): Fraction(c, zee(lam)) for lam, c in b.items()}),
+    )
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_packed_solve_matches_the_dict_recursion(N):
+    (a, b), (a_ref, b_ref) = _solve_raw(N), _ref_solve_raw(N)
+    assert a.terms == a_ref.terms
+    assert b.terms == b_ref.terms
+
+
+@st.composite
+def q_polynomials(draw):
+    j = draw(st.integers(0, 12))
+    poly = draw(st.dictionaries(
+        st.sampled_from(range(-2 * j, 2 * j + 1, 2)),
+        st.integers(-2**70, 2**70).filter(bool),
+    ))
+    return j, poly
+
+
+@given(q_polynomials(), st.integers(0, 2**70))
+def test_pack_round_trip(jpoly, slack):
+    j, poly = jpoly
+    B = _digit_width(max(map(abs, poly.values()), default=0) + slack)
+    assert _unpack(_pack(poly, j, B), j, B) == poly
+
+
+@pytest.mark.parametrize("B", [2, 3, 17, 64])
+def test_pack_round_trip_at_the_digit_limits(B):
+    # balanced digits reach +-(2^(B-1) - 1) on either side of zero; a top
+    # digit of 2^(B-1) carries past the last slot
+    j, top = 3, 2 ** (B - 1) - 1
+    for signs in ([1] * 7, [-1] * 7, [1, -1] * 3 + [1]):
+        poly = {k: s * top for k, s in zip(range(-2 * j, 2 * j + 1, 2), signs)}
+        assert _unpack(_pack(poly, j, B), j, B) == poly
+    with pytest.raises(ArithmeticError, match="outruns"):
+        _unpack(_pack({2 * j: top + 1}, j, B), j, B)
 
 
 def test_solve_refuses_an_inexact_division(monkeypatch):

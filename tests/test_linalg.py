@@ -93,6 +93,17 @@ def test_certify_agrees_disagrees_and_rejects_empty():
         certify({})
 
 
+def test_certify_takes_a_full_rank_from_one_prime():
+    # rank mod p <= rank over Q <= ncols: one prime at ncols settles it
+    assert certify({101: 5}, ncols=5) == 5
+    assert certify({101: 5, 103: 5}, ncols=5) == 5
+    assert certify({101: 5, 103: 4}, ncols=5) == 5
+    assert certify({101: 3, 103: 3}, ncols=5) == 3
+    with pytest.raises(UnluckyPrimeError) as ei:
+        certify({101: 3, 103: 2}, ncols=5)
+    assert ei.value.outliers == [103]
+
+
 def test_rank_known_row_multiple():
     m = [[1, 2, 3, 4], [2, 4, 6, 8]]
     assert acc_rank(m, 101) == 1

@@ -59,14 +59,16 @@ def test_two_row_multiplicity_certifies_the_degree_19_gap():
     for n in range(1, 11):
         for shape in _two_row_shapes(n):
             assert two_row_multiplicity(shape) == JORDAN_MODULE[n].get(shape, 0)
-    # ... and against the prediction: equal through degree 18, and in
-    # degree 19 one copy of S^(10,9) short of it
-    a, _b = km_prediction(19, 19)
-    for n in range(1, 20):
+    # ... and against the prediction: equal through degree 18, in degree 19
+    # one copy of S^(10,9) short of it, and in degree 20 two copies each of
+    # S^(11,9) and S^(10,10)
+    a, _b = km_prediction(20, 20)
+    expected = {19: {(10, 9): 1}, 20: {(11, 9): 2, (10, 10): 2}}
+    for n in range(1, 21):
         shapes = _two_row_shapes(n)
         predicted = schur_decompose(a, n, shapes).mults
         gap = {s: predicted.get(s, 0) - two_row_multiplicity(s) for s in shapes}
-        assert {s: k for s, k in gap.items() if k} == ({(10, 9): 1} if n == 19 else {})
+        assert {s: k for s, k in gap.items() if k} == expected.get(n, {})
     with pytest.raises(ValueError, match="two rows"):
         two_row_multiplicity((2, 1, 1))
 
@@ -184,12 +186,14 @@ def _ref_rank(n, ones, p):
 def test_span_ranks_match_the_full_expansion(p):
     # the degree recursion on echelon bases against the rank of every
     # normal monomial's expansion, block by block; the letter swap stands
-    # in for the blocks with more second letters than first
-    for n in range(1, 11):
-        ranks = _span_ranks(n, p)
+    # in for the blocks with more second letters than first; one walk
+    # reports every degree
+    by_degree = _span_ranks(10, p)
+    for n, ranks in enumerate(by_degree, start=1):
         assert [_ref_rank(n, ones, p) for ones in range(n + 1)] == [
             ranks[min(ones, n - ones)] for ones in range(n + 1)
         ], n
+    assert len(by_degree) == 10
 
 
 def test_orbit_columns_sum_to_reversible_dim():
@@ -215,6 +219,41 @@ def test_span_refuses_rows_it_cannot_trust(monkeypatch, xy, message):
     monkeypatch.setattr(twogen_mod, "_FACTORS", tuple(factors))
     with pytest.raises(ArithmeticError, match=message):
         jordan_span_dim(4)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(twogen_mod, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(twogen_mod, name, counted)
+    return calls
+
+
+def test_span_walks_one_prime_when_every_block_is_full(monkeypatch):
+    calls = _count_calls(monkeypatch, "_span_ranks")
+    assert jordan_span_dim(10) == reversible_dim(10)
+    assert calls == [(10, blas_primes(_reversal_orbits(10, 5))[0])]
+
+
+def test_span_walks_every_prime_when_a_block_falls_short(monkeypatch):
+    # without the factor x most blocks lose rank, at every prime alike
+    monkeypatch.setattr(twogen_mod, "_FACTORS", _FACTORS[1:])
+    calls = _count_calls(monkeypatch, "_span_ranks")
+    primes = (1000003, 1000033)
+    assert jordan_span_dim(8, primes=primes) < reversible_dim(8)
+    assert calls == [(8, p) for p in primes]
+
+
+def test_table_builds_each_block_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_block")
+    rows = two_gen_table(max_degree=12, span_bound=12, predictions=False)
+    assert [r["jordan_span_dim"] for r in rows] == [reversible_dim(n) for n in range(1, 13)]
+    blocks = [(d, ones) for d, ones, _p, _accs in calls]
+    assert blocks == [(d, ones) for d in range(1, 13) for ones in range(d // 2 + 1)]
 
 
 def test_span_equals_reversible_in_low_degree():
