@@ -28,16 +28,19 @@ only its own fresh rows; the exact Component does the same with the lower
 components' pivot rows.  The ranks, unlucky primes included, and the
 echelon forms are those of the full row set.
 
-Fresh rows are assembled with the memoised normal-basis product (straighten
-one two-factor tree per distinct pair of normal monomials) rather than by
-straightening six large trees per slot tuple.  A row built this way differs
-from the literal straightened identity instance by straightened relation
-elements, and restricting slots to normal monomials only re-spans the same
-rows by multilinearity, so the computed span always sits inside the true
-relation image: reported dimensions can only err upward.  That they do not
-is checked against the multilinear decomposition through every small
-content (see the weight-space tests) and against independently published
-values in higher degree.
+Fresh rows are assembled from a product table kept for one computation (one
+_seeded_ranks call, or one relation_rows call on its own) rather than by
+straightening six large trees per slot tuple.  The table interns normal
+monomials as ints, straightens one two-factor tree per distinct pair of
+ids, and memoises each (ab)c; a row adds the six terms of the identity into
+one int dict, with no intermediate element per product.  A row built this
+way differs from the literal straightened identity instance by straightened
+relation elements, and restricting slots to normal monomials only re-spans
+the same rows by multilinearity, so the computed span always sits inside
+the true relation image: reported dimensions can only err upward.  That
+they do not is checked against the multilinear decomposition through every
+small content (see the weight-space tests) and against independently
+published values in higher degree.
 
 In the multilinear content (1, ..., 1) `operad.consequences` keeps one
 representative per S_n-orbit.  Straightening commutes with relabelling, and
@@ -47,23 +50,24 @@ type), on consecutive labels and up to the slot-1/2/4 symmetry, carries the
 orbit.  Every append is likewise a relabelling of a degree-(n-1)
 representative times x_n or a degree-(n-2) one times (x_{n-1} x_n).
 
-Relation rows are integral: straightening only ever halves, so each cached
-product of two normal monomials is stored once as ints over one power of
-two, 2**s, and rows are assembled in int arithmetic, shifting the running
-sum left when a term brings a larger s.  Each row is then scaled, where it
-is built, by the least power of two that makes it integral, which moves
-neither its span over Q nor its rank modulo an odd prime.  Dimensions come
-from certified modular ranks; the exact Component view keeps a rational
-echelon form instead, so products can be expressed in an explicit quotient
-basis.
+Relation rows are integral: straightening only ever halves, so every
+product in the table is ints over one power of two, 2**s, as
+trees.straighten_tree returns it, and a row's six terms are added in int
+arithmetic, shifting the running sum left when a term brings a larger s.
+Each row is then scaled, where it is built, by the least power of two that
+makes it integral, which moves neither its span over Q nor its rank modulo
+an odd prime.  Dimensions come from certified modular ranks; the exact
+Component view keeps a rational echelon form instead, so products can be
+expressed in an explicit quotient basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import defaultdict
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 from numbers import Integral
 
 import numpy as np
@@ -71,11 +75,13 @@ import numpy as np
 from .errors import InfeasibleError
 from .linalg import ExactRowReducer, RankAccumulator, certify, choose_primes
 from .trees import (
+    common_twos,
     monomial_key,
     monomial_to_tree,
     node,
     normal_types,
-    straighten,
+    scaled_sum,
+    straighten_tree,
 )
 
 
@@ -98,35 +104,24 @@ def _nonzero_subcontents(delta: tuple) -> tuple:
     return tuple(out)
 
 
-def _arrangements(counts: tuple):
-    """Distinct label sequences using counts[i] copies of generator i+1."""
-    if sum(counts) == 0:
-        yield ()
-        return
-    for i, c in enumerate(counts):
-        if c:
-            rest = counts[:i] + (c - 1,) + counts[i + 1 :]
-            for tail in _arrangements(rest):
-                yield (i + 1,) + tail
-
-
 @cache
 def normal_monomials(delta: tuple) -> tuple:
     """Canonical normal-monomial keys with the given content."""
     n = sum(delta)
     if n == 0:
         return ()
-    if n == 1:
-        return (((delta.index(1) + 1,), ()),)
+    if n <= 2:
+        labels = tuple(i + 1 for i, c in enumerate(delta) for _ in range(c))
+        return ((labels, ()),)
+    # every key of degree >= 3 is a key of degree >= 2 with its last
+    # factor appended, and monomial_key recanonicalises a first factor
     out = set()
-    for comp in normal_types(n):
-        for labels in _arrangements(delta):
-            head = labels[:2]
-            factors, pos = [], 2
-            for c in comp:
-                factors.append(labels[pos : pos + c])
-                pos += c
-            out.add(monomial_key(head, tuple(factors)))
+    for u, content in _unit_factors(len(delta)):
+        lower = tuple(a - b for a, b in zip(delta, content))
+        if min(lower) >= 0 and sum(lower) >= 2:
+            out.update(
+                monomial_key(m[0], m[1] + (u,)) for m in normal_monomials(lower)
+            )
     return tuple(sorted(out))
 
 
@@ -156,70 +151,96 @@ def _unit_factors(g: int):
             yield (i, j), content
 
 
-@cache
 def _mul_normal(m1: tuple, m2: tuple) -> tuple:
-    """Product of two normal monomials, restraightened, as (s, pairs): the
-    product is the sorted (monomial, int) pairs times 2**-s, with s the
-    least such power.  Straightening stays in Fractions; they are converted
-    here, once per cache entry."""
-    t = node(monomial_to_tree(m1), monomial_to_tree(m2))
-    terms = sorted(straighten(t).items())
-    den = lcm(*(c.denominator for _, c in terms))
-    s = den.bit_length() - 1
-    if den != 1 << s:
-        raise ArithmeticError("straightening gave the denominator %d" % den)
-    return s, tuple((m, c.numerator * (den // c.denominator)) for m, c in terms)
+    """Product of two normal monomials, straightened, as (s, pairs): the
+    sorted (monomial, int) pairs times 2**-s, with s the least such power."""
+    return straighten_tree(node(monomial_to_tree(m1), monomial_to_tree(m2)))
 
 
-def _mul(e1: tuple, e2: tuple) -> tuple:
-    """Product of two elements (s, {monomial: int}), each meaning the
-    dict times 2**-s."""
-    s1, d1 = e1
-    s2, d2 = e2
-    shift, out = 0, {}
-    for m1, c1 in d1.items():
-        for m2, c2 in d2.items():
-            s, terms = _mul_normal(*((m1, m2) if m1 <= m2 else (m2, m1)))
-            if s > shift:
-                out = {m: v << (s - shift) for m, v in out.items()}
-                shift = s
-            c = c1 * c2 << (shift - s)
-            for m, d in terms:
-                v = out.get(m, 0) + c * d
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-    return s1 + s2 + shift, out
+class _Products:
+    """Products of normal monomials for one computation.
+
+    Monomials are interned as ids (`ids`, `mons`); the product of two ids
+    and the product (ab)c are memoised as (s, ((id, int), ...)), the ints
+    times 2**-s.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.mons: list = []
+        self._pairs: dict = {}
+        self._left: dict = {}
+
+    def id(self, m: tuple) -> int:
+        i = self.ids.get(m)
+        if i is None:
+            i = self.ids[m] = len(self.mons)
+            self.mons.append(m)
+        return i
+
+    def mul(self, i: int, j: int) -> tuple:
+        key = (i, j) if i <= j else (j, i)
+        out = self._pairs.get(key)
+        if out is None:
+            s, terms = _mul_normal(self.mons[i], self.mons[j])
+            out = self._pairs[key] = s, tuple((self.id(m), c) for m, c in terms)
+        return out
+
+    def left(self, a: int, b: int, c: int) -> tuple:
+        """(ab)c for the ids a, b, c."""
+        key = (a, b, c) if a <= b else (b, a, c)
+        out = self._left.get(key)
+        if out is None:
+            s, ab = self.mul(a, b)
+            t, pairs = scaled_sum([(x, self.mul(m, c)) for m, x in ab])
+            out = self._left[key] = s + t, pairs
+        return out
+
+    def row(self, b1: int, b2: int, b3: int, b4: int) -> dict:
+        """The defining identity at four ids, in normal coordinates, scaled
+        by the least power of two that makes its coefficients integers.
+        The six terms are added into one int dict at a running power of
+        two."""
+        mul = self.mul
+        out = defaultdict(int)
+        shift = 0
+
+        def add(x0, s, e, n):
+            # out += x0 * e * n, for e = ((id, int), ...) times 2**-s
+            nonlocal shift
+            for m, x in e:
+                t, pairs = mul(m, n)
+                if s + t > shift:
+                    for k in out:
+                        out[k] <<= s + t - shift
+                    shift = s + t
+                x = x0 * x << (shift - s - t)
+                for k, y in pairs:
+                    out[k] += x * y
+
+        for (s, e), n in (
+            (self.left(b1, b2, b3), b4),
+            (self.left(b2, b4, b3), b1),
+            (self.left(b1, b4, b3), b2),
+        ):
+            add(1, s, e, n)
+        for (sp, p), (sq, q) in (
+            (mul(b1, b2), mul(b3, b4)),
+            (mul(b1, b3), mul(b2, b4)),
+            (mul(b1, b4), mul(b2, b3)),
+        ):
+            for n, y in q:
+                add(-y, sp + sq, p, n)
+        k = common_twos(out.values(), shift)
+        mons = self.mons
+        return {mons[i]: c >> k for i, c in out.items() if c}
 
 
 def _jordan_row(b1: tuple, b2: tuple, b3: tuple, b4: tuple) -> dict:
     """The defining identity at four normal monomials, in normal coordinates,
     scaled by the least power of two that makes its coefficients integers."""
-    e1, e2, e3, e4 = (0, {b1: 1}), (0, {b2: 1}), (0, {b3: 1}), (0, {b4: 1})
-    p12, p14, p24 = _mul(e1, e2), _mul(e1, e4), _mul(e2, e4)
-    terms = (
-        (_mul(_mul(p12, e3), e4), 1),
-        (_mul(_mul(p24, e3), e1), 1),
-        (_mul(_mul(p14, e3), e2), 1),
-        (_mul(p12, _mul(e3, e4)), -1),
-        (_mul(_mul(e1, e3), p24), -1),
-        (_mul(p14, _mul(e2, e3)), -1),
-    )
-    shift = max(s for (s, _), _ in terms)
-    out = {}
-    for (s, term), sign in terms:
-        k = shift - s
-        for m, c in term.items():
-            v = out.get(m, 0) + (sign * c << k)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    while shift and all(c & 1 == 0 for c in out.values()):
-        out = {m: c >> 1 for m, c in out.items()}
-        shift -= 1
-    return out
+    table = _Products()
+    return table.row(*(table.id(b) for b in (b1, b2, b3, b4)))
 
 
 def _lower_contents(delta: tuple):
@@ -238,25 +259,30 @@ def _appended(m: tuple, u: tuple) -> tuple:
     return m[0], m[1] + (u,)
 
 
-def relation_rows(delta: tuple) -> tuple:
+def relation_rows(delta: tuple, table: _Products | None = None) -> tuple:
     """Fresh instances of the defining identity in one content.  With the
     relations of its lower contents, each with its unit factor appended
-    (_lower_contents, _appended), they span the content's relations."""
+    (_lower_contents, _appended), they span the content's relations.
+    Products come from table, a fresh one if none is given."""
     if sum(delta) < 4:
         return ()
+    if table is None:
+        table = _Products()
+    ids = {s: [table.id(m) for m in normal_monomials(s)]
+           for s in _nonzero_subcontents(delta)}
     rows = []
     seen = set()
     for s1, s2, s3, s4 in _slot_splits(delta):
-        for v3 in normal_monomials(s3):
-            for v1 in normal_monomials(s1):
-                for v2 in normal_monomials(s2):
-                    for v4 in normal_monomials(s4):
+        for v3 in ids[s3]:
+            for v1 in ids[s1]:
+                for v2 in ids[s2]:
+                    for v4 in ids[s4]:
                         # the identity is symmetric in slots 1, 2, 4
                         key = (tuple(sorted((v1, v2, v4))), v3)
                         if key in seen:
                             continue
                         seen.add(key)
-                        elt = _jordan_row(v1, v2, v3, v4)
+                        elt = table.row(v1, v2, v3, v4)
                         if elt:
                             rows.append(elt)
     return tuple(rows)
@@ -264,8 +290,8 @@ def relation_rows(delta: tuple) -> tuple:
 
 # (8, 2, 1), the largest content checked against published values, has a
 # span estimate of 27,225 (9,520 normal monomials); seeded, its X starts at
-# the summed lower ranks, 9,076 x 444, and ends at 9,270 x 250 (17 s, 293 MB
-# peak RSS on a 2-core host).  (6, 2, 2) at 42,840 has 12,083 and (7, 2, 2)
+# the summed lower ranks, 9,076 x 444, and ends at 9,270 x 250 (17.7 s,
+# 297 MB peak RSS on a 2-core host).  (6, 2, 2) at 42,840 has 12,083 and (7, 2, 2)
 # at 108,900 has 30,300, an echelon basis of up to 30,300**2/4 int64
 # entries (1.8 GB) beside its relation rows; the bound stays until such a
 # run is measured within 8 GB
@@ -321,6 +347,7 @@ def _seeded_ranks(delta: tuple, primes) -> dict:
     appended rows span, so every prime's rank is that of the full row set.
     """
     built = {}  # content -> (width, fresh sparse rows, lower column maps)
+    table = _Products()
 
     def build(d):
         if d not in built:
@@ -328,7 +355,7 @@ def _seeded_ranks(delta: tuple, primes) -> dict:
             index = {m: i for i, m in enumerate(span)}
             rows = [
                 (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
-                for r in relation_rows(d)
+                for r in relation_rows(d, table)
             ]
             lower = [
                 (np.array([index[_appended(m, u)] for m in normal_monomials(low)]), low)

@@ -22,14 +22,18 @@ only degrees and label-free shape keys; when the two candidates have
 identical shape the two reductions are averaged, which makes the whole map
 commute with relabeling.  That equivariance is what lets the rank method
 represent a full S_n-orbit of relations by one d_lambda-wide block.
+
+The only divisions are those tie averages, so straighten_tree works over
+the integers: an expansion is (s, ((monomial, int), ...)), the ints times
+2**-s with s the least such power, and the five-term rewrite and the
+average add the expansions of their terms as ints shifted onto one power
+of two.  straighten converts to Fractions at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-
-from .linalg import add_scaled
 
 
 def leaf(v: int) -> tuple:
@@ -209,61 +213,83 @@ def _order_pair(a: tuple, b: tuple):
 
 @cache
 def straighten_tree(t: tuple) -> tuple:
-    """Normal-form expansion of a tree as ((monomial, coeff), ...)."""
-    deg = t[0]
-    if deg == 1:
-        return ((((t[1],), ()), Fraction(1)),)
+    """Normal-form expansion of a tree as (s, ((monomial, int), ...)): the
+    ints times 2**-s, with s the least such power."""
+    if t[0] == 1:
+        return 0, ((((t[1],), ()), 1),)
     core, factor, tied = _order_pair(t[1], t[2])
     if tied:
-        out: dict = {}
-        add_scaled(out, dict(_reduce(t[1], t[2])), Fraction(1, 2))
-        add_scaled(out, dict(_reduce(t[2], t[1])), Fraction(1, 2))
-        return tuple(sorted(out.items()))
+        return scaled_sum(((1, _reduce(t[1], t[2])), (1, _reduce(t[2], t[1]))), 1)
     return _reduce(core, factor)
 
 
+def scaled_sum(terms, halvings: int = 0) -> tuple:
+    """The sum of x * expansion over (int x, (s, pairs)) terms, times
+    2**-halvings, as an expansion (s, sorted pairs) with s least.  The
+    terms are added as ints shifted onto the largest s among them."""
+    shift = max(s for _, (s, _) in terms)
+    out: dict = {}
+    for x, (s, pairs) in terms:
+        x <<= shift - s
+        for m, c in pairs:
+            out[m] = out.get(m, 0) + x * c
+    shift += halvings
+    k = common_twos(out.values(), shift)
+    return shift - k, tuple(sorted((m, c >> k) for m, c in out.items() if c))
+
+
+def common_twos(coeffs, limit: int) -> int:
+    """The largest k <= limit such that 2**k divides every int in coeffs."""
+    bits = 0
+    for c in coeffs:
+        bits |= c
+    return min(limit, (bits & -bits).bit_length() - 1) if bits else limit
+
+
 def _append_factor(expansion, f: tuple):
-    out = {}
-    for m, c in expansion:
-        key = monomial_key(m[0], m[1] + (tuple(sorted(f)),))
-        out[key] = out.get(key, 0) + c
-    return tuple(sorted(out.items()))
+    # appending a factor keeps distinct keys distinct and in order; only a
+    # degree-2 key, which has no factor yet, may need recanonicalising
+    s, pairs = expansion
+    f = tuple(sorted(f))
+    return s, tuple(
+        ((m[0], m[1] + (f,)) if m[1] else monomial_key(m[0], (f,)), c)
+        for m, c in pairs
+    )
 
 
 def _reduce(core: tuple, factor: tuple) -> tuple:
     fd = factor[0]
     if fd == 1:
         if core[0] == 1:
-            key = monomial_key((core[1], factor[1]), ())
-            return ((key, Fraction(1)),)
+            return 0, ((monomial_key((core[1], factor[1]), ()), 1),)
         return _append_factor(straighten_tree(core), (factor[1],))
     if fd == 2:
         pair = (factor[1][1], factor[2][1])
         if core[0] == 1:
             # degree-3 tree x(ab): the comb starts at the pair
-            key = monomial_key(pair, ((core[1],),))
-            return ((key, Fraction(1)),)
+            return 0, ((monomial_key(pair, ((core[1],),)), 1),)
         return _append_factor(straighten_tree(core), pair)
-    # factor = (a c) b with degree >= 3: five-term rewrite
+    # factor = (a c) b with degree >= 3: five-term rewrite, averaged over
+    # the two splits when they tie
     p, q, tied = _order_pair(factor[1], factor[2])
-    out: dict = {}
-    weight = Fraction(1, 2) if tied else Fraction(1)
+    terms = []
     for ac, b in ((p, q), (q, p)) if tied else ((p, q),):
         a, c = ac[1], ac[2]
-        for coeff, built in (
+        for sign, built in (
             (-1, node(node(node(core, c), b), a)),
             (-1, node(node(node(core, a), b), c)),
             (1, node(node(core, b), node(a, c))),
             (1, node(node(core, c), node(a, b))),
             (1, node(node(core, a), node(b, c))),
         ):
-            add_scaled(out, dict(straighten_tree(built)), coeff * weight)
-    return tuple(sorted(out.items()))
+            terms.append((sign, straighten_tree(built)))
+    return scaled_sum(terms, int(tied))
 
 
 def straighten(t: tuple) -> dict:
-    """Public entry: tree -> {normal monomial: coefficient}."""
-    return dict(straighten_tree(t))
+    """Public entry: tree -> {normal monomial: Fraction coefficient}."""
+    s, pairs = straighten_tree(t)
+    return {m: Fraction(c, 1 << s) for m, c in pairs}
 
 
 def jordan_tree_element(t1, t2, t3, t4) -> dict:
@@ -277,5 +303,5 @@ def jordan_tree_element(t1, t2, t3, t4) -> dict:
         (-1, node(node(t1, t3), node(t2, t4))),
         (-1, node(node(t1, t4), node(t2, t3))),
     ):
-        combo[t] = combo.get(t, 0) + Fraction(coeff)
+        combo[t] = combo.get(t, 0) + coeff
     return {k: v for k, v in combo.items() if v}

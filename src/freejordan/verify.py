@@ -180,7 +180,8 @@ def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
 
 def suite_tables(max_degree: int = 6) -> VerificationReport:
     """Multilinear module structure against the lambda-ring prediction,
-    and one published multidegree dimension."""
+    the published multidegree dimensions against the prediction, and one
+    of them against the rank method."""
     from .lambda_ring import km_prediction, schur_decompose
     from .multidegree import multidegree_dim
     from .operad import jord_module
@@ -213,12 +214,34 @@ def suite_tables(max_degree: int = 6) -> VerificationReport:
         )
     _check(
         rep,
+        "dims of the %d published multidegree components" % len(MULTIDEGREE_DIMS),
+        MULTIDEGREE_DIMS,
+        "character pipeline + Kostka numbers",
+        _multidegree_dims_from_characters,
+    )
+    _check(
+        rep,
         "dim of the content-(9,1,1) component",
         MULTIDEGREE_DIMS[(9, 1, 1)],
         "published table (tables.py), rank method",
         lambda: multidegree_dim((9, 1, 1)),
     )
     return rep
+
+
+def _multidegree_dims_from_characters() -> dict:
+    """Each content delta of MULTIDEGREE_DIMS as sum over lambda of
+    mult_lambda * K(lambda, delta), mult from the predicted characters."""
+    from .lambda_ring import km_prediction, schur_decompose
+    from .partitions import kostka
+
+    degrees = {sum(delta) for delta in MULTIDEGREE_DIMS}
+    a, _b = km_prediction(max(degrees), max(degrees))
+    mults = {n: schur_decompose(a, n).mults for n in degrees}
+    return {
+        delta: sum(c * kostka(lam, delta) for lam, c in mults[sum(delta)].items())
+        for delta in MULTIDEGREE_DIMS
+    }
 
 
 def suite_homology(max_degree: int | None = None) -> VerificationReport:

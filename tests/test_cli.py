@@ -11,8 +11,14 @@ import freejordan.twogen as twogen_mod
 from freejordan.cache import cache_get, cache_put, cached
 from freejordan.cli import main
 from freejordan.errors import UnluckyPrimeError
-from freejordan.tables import TWO_GEN_B_DIMS, TWO_GEN_DIMS
-from freejordan.verify import VerificationReport, _check, run_suites, suite_tables
+from freejordan.tables import MULTIDEGREE_DIMS, TWO_GEN_B_DIMS, TWO_GEN_DIMS
+from freejordan.verify import (
+    VerificationReport,
+    _check,
+    _multidegree_dims_from_characters,
+    run_suites,
+    suite_tables,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +117,13 @@ def test_verify_tables_builds_each_module_once(monkeypatch):
     assert report.passed
     assert report.results[-1].name == "dim of the content-(9,1,1) component"
     assert sorted(calls) == [1, 2, 3, 4]
+
+
+def test_verify_certifies_every_published_multidegree_dim():
+    # the character pipeline with Kostka numbers, independent of the rank
+    # method, gives all 22 frozen values
+    assert len(MULTIDEGREE_DIMS) == 22
+    assert _multidegree_dims_from_characters() == MULTIDEGREE_DIMS
 
 
 def test_verify_unknown_suite():

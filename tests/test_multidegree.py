@@ -13,8 +13,9 @@ from freejordan.errors import InfeasibleError
 from freejordan.linalg import ExactRowReducer, RankAccumulator, blas_primes
 from freejordan.multidegree import (
     _jordan_row,
-    _mul,
+    _lower_contents,
     _mul_normal,
+    _Products,
     _seeded_ranks,
     _slot_splits,
     _unit_factors,
@@ -30,6 +31,7 @@ from freejordan.trees import (
     monomial_slot_labels,
     monomial_to_tree,
     node,
+    normal_types,
     straighten,
 )
 
@@ -82,6 +84,40 @@ def test_two_variable_row_sums():
     for n in range(2, 8):
         total = sum(multidegree_dim((a, n - a)) for a in range(n + 1))
         assert total == 2 ** (n - 1) + 2 ** ((n + 1) // 2 - 1)
+
+
+def _ref_arrangements(counts: tuple):
+    """Distinct label sequences using counts[i] copies of generator i+1."""
+    if sum(counts) == 0:
+        yield ()
+        return
+    for i, c in enumerate(counts):
+        if c:
+            rest = counts[:i] + (c - 1,) + counts[i + 1 :]
+            for tail in _ref_arrangements(rest):
+                yield (i + 1,) + tail
+
+
+def _ref_normal_monomials(delta: tuple) -> tuple:
+    """Every arrangement of the labels read through every normal type."""
+    n = sum(delta)
+    if n == 1:
+        return (((delta.index(1) + 1,), ()),)
+    out = set()
+    for comp in normal_types(n):
+        for labels in _ref_arrangements(delta):
+            factors, pos = [], 2
+            for c in comp:
+                factors.append(labels[pos : pos + c])
+                pos += c
+            out.add(monomial_key(labels[:2], tuple(factors)))
+    return tuple(sorted(out))
+
+
+def test_normal_monomials_match_the_arrangement_scan():
+    for n in range(1, 9):
+        for delta in _contents(n):
+            assert normal_monomials(delta) == _ref_normal_monomials(delta), delta
 
 
 def test_relation_rows_have_uniform_content():
@@ -228,12 +264,43 @@ def test_mul_normal_is_straighten_over_a_power_of_two():
 
 
 def test_mul_rescales_its_running_sum():
-    # x*x is integral and y*x is halved, so the sum of x*x is rescaled
+    # x*x is integral and y*x is halved.  In the row at (x2, x2, x2 x2,
+    # x1 x2) the first term is integral and the last is halved, so the
+    # table rescales the row's running sum
     x, y = normal_monomials((1, 2))[:2]
-    assert (_mul_normal(x, x)[0], _mul_normal(*sorted((x, y)))[0]) == (0, 1)
-    s, out = _mul((0, {x: 1, y: 3}), (1, {x: 1}))
-    want = _ref_mul({x: Fraction(1), y: Fraction(3)}, {x: Fraction(1, 2)})
-    assert {m: Fraction(c, 2**s) for m, c in out.items()} == want
+    table = _Products()
+    ix, iy = table.id(x), table.id(y)
+    assert (table.mul(ix, ix)[0], table.mul(ix, iy)[0]) == (0, 1)
+    slots = (((2,), ()), ((2,), ()), ((2, 2), ()), ((1, 2), ()))
+    b1, b2, b3, b4 = (table.id(m) for m in slots)
+    s, e = table.left(b1, b2, b3)
+    assert max(s + table.mul(m, b4)[0] for m, _ in e) == 0
+    (sp, p), (sq, q) = table.mul(b1, b4), table.mul(b2, b3)
+    assert max(sp + sq + table.mul(m, n)[0] for m, _ in p for n, _ in q) == 1
+    assert table.row(b1, b2, b3, b4) == _ref_row(*slots)
+
+
+def _reached(delta: tuple) -> list:
+    """delta and every content below it through _lower_contents, lowest
+    first, as _seeded_ranks reaches them."""
+    out = []
+
+    def walk(d):
+        if d not in out:
+            for _, low in _lower_contents(d):
+                walk(low)
+            out.append(d)
+
+    walk(delta)
+    return out
+
+
+def test_one_table_across_contents_gives_each_content_its_own_rows():
+    contents = _reached((4, 2, 1))
+    assert len(contents) > 1
+    table = _Products()
+    for delta in contents:
+        assert relation_rows(delta, table) == relation_rows(delta), delta
 
 
 @st.composite

@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freejordan.multidegree import _jordan_row
+from freejordan.linalg import add_scaled
+from freejordan.multidegree import _jordan_row, normal_monomials
 from freejordan.trees import (
+    _order_pair,
     all_trees,
     leaf,
     monomial_key,
@@ -20,6 +24,7 @@ from freejordan.trees import (
     relabel_tree,
     shape_key,
     straighten,
+    straighten_tree,
     substitute_leaf,
     tree_labels,
     type_swap_perms,
@@ -257,6 +262,92 @@ def test_six_leaf_blocked_shape_reduces():
     assert all(monomial_type(m) in normal_types(6) for m in out)
     # and it genuinely needed rewriting
     assert len(out) > 1
+
+
+# Fraction reference: the straightening rewrite with rational coefficients,
+# averaging tied reductions with weight 1/2, as straighten_tree's int form
+# must reproduce after dividing by 2**s.
+
+
+@cache
+def _ref_straighten_tree(t: tuple) -> tuple:
+    if t[0] == 1:
+        return ((((t[1],), ()), Fraction(1)),)
+    core, factor, tied = _order_pair(t[1], t[2])
+    if tied:
+        out: dict = {}
+        add_scaled(out, dict(_ref_reduce(t[1], t[2])), Fraction(1, 2))
+        add_scaled(out, dict(_ref_reduce(t[2], t[1])), Fraction(1, 2))
+        return tuple(sorted(out.items()))
+    return _ref_reduce(core, factor)
+
+
+def _ref_append_factor(expansion, f: tuple):
+    out = {}
+    for m, c in expansion:
+        key = monomial_key(m[0], m[1] + (tuple(sorted(f)),))
+        out[key] = out.get(key, 0) + c
+    return tuple(sorted(out.items()))
+
+
+def _ref_reduce(core: tuple, factor: tuple) -> tuple:
+    fd = factor[0]
+    if fd == 1:
+        if core[0] == 1:
+            return ((monomial_key((core[1], factor[1]), ()), Fraction(1)),)
+        return _ref_append_factor(_ref_straighten_tree(core), (factor[1],))
+    if fd == 2:
+        pair = (factor[1][1], factor[2][1])
+        if core[0] == 1:
+            return ((monomial_key(pair, ((core[1],),)), Fraction(1)),)
+        return _ref_append_factor(_ref_straighten_tree(core), pair)
+    p, q, tied = _order_pair(factor[1], factor[2])
+    out: dict = {}
+    weight = Fraction(1, 2) if tied else Fraction(1)
+    for ac, b in ((p, q), (q, p)) if tied else ((p, q),):
+        a, c = ac[1], ac[2]
+        for coeff, built in (
+            (-1, node(node(node(core, c), b), a)),
+            (-1, node(node(node(core, a), b), c)),
+            (1, node(node(core, b), node(a, c))),
+            (1, node(node(core, c), node(a, b))),
+            (1, node(node(core, a), node(b, c))),
+        ):
+            add_scaled(out, dict(_ref_straighten_tree(built)), coeff * weight)
+    return tuple(sorted(out.items()))
+
+
+def _ref_straighten(t: tuple) -> dict:
+    return dict(_ref_straighten_tree(t))
+
+
+def _check_against_the_reference(t: tuple) -> None:
+    s, pairs = straighten_tree(t)
+    assert all(type(c) is int and c for _, c in pairs)
+    assert s == 0 or any(c % 2 for _, c in pairs)  # the least power
+    assert straighten(t) == _ref_straighten(t)
+
+
+def test_straighten_matches_the_fraction_reference_on_products():
+    # every product of two normal monomials of total degree <= 7 on up to
+    # three generators
+    mons = [m for delta in itertools.product(range(7), repeat=3)
+            if 0 < sum(delta) < 7 for m in normal_monomials(delta)]
+    halved = 0
+    for m1, m2 in itertools.combinations_with_replacement(mons, 2):
+        if len(monomial_slot_labels(m1) + monomial_slot_labels(m2)) <= 7:
+            t = node(monomial_to_tree(m1), monomial_to_tree(m2))
+            _check_against_the_reference(t)
+            halved += straighten_tree(t)[0] > 0
+    assert halved
+
+
+@given(st.integers(2, 8), st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_straighten_matches_the_fraction_reference_on_random_trees(n, g, rnd):
+    t = random_tree(rnd, range(1, n + 1))
+    labels = {i: rnd.randint(1, g) for i in range(1, n + 1)}
+    _check_against_the_reference(relabel_tree(t, labels))
 
 
 def _jordan_row_on_labels(*labels):
