@@ -28,19 +28,27 @@ only its own fresh rows; the exact Component does the same with the lower
 components' pivot rows.  The ranks, unlucky primes included, and the
 echelon forms are those of the full row set.
 
-Fresh rows are assembled from a product table kept for one computation (one
-_seeded_ranks call, or one relation_rows call on its own) rather than by
-straightening six large trees per slot tuple.  The table interns normal
-monomials as ints, straightens one two-factor tree per distinct pair of
-ids, and memoises each (ab)c; a row adds the six terms of the identity into
-one int dict, with no intermediate element per product.  A row built this
-way differs from the literal straightened identity instance by straightened
-relation elements, and restricting slots to normal monomials only re-spans
-the same rows by multilinearity, so the computed span always sits inside
-the true relation image: reported dimensions can only err upward.  That
-they do not is checked against the multilinear decomposition through every
-small content (see the weight-space tests) and against independently
-published values in higher degree.
+Fresh rows are assembled from a product table kept for one computation
+rather than by straightening six large trees per slot tuple: one
+_seeded_ranks call, one component call (all of its lower contents), one
+operad.consequences(n), one tkk truncation (its components and its
+structure constants), or one relation_rows call on its own.  The table
+interns normal monomials as ints, straightens one two-factor tree per
+distinct pair of ids, and memoises each (ab)c; a row adds the six terms of
+the identity into one int dict, with no intermediate element per product.
+A row built this way differs from the literal straightened identity
+instance by straightened relation elements, and restricting slots to
+normal monomials only re-spans the same rows by multilinearity, so the
+computed span always sits inside the true relation image: reported
+dimensions can only err upward.  That they do not is checked against the
+multilinear decomposition through every small content (see the
+weight-space tests) and against independently published values in higher
+degree.
+
+The table owns all of its computation's straightening state, its own
+trees.straightener() memo included, and the state goes with the table.
+Only normal_monomials and _nonzero_subcontents, bounded by the size
+refusals, are cached for the process.
 
 In the multilinear content (1, ..., 1) `operad.consequences` keeps one
 representative per S_n-orbit.  Straightening commutes with relabelling, and
@@ -51,8 +59,8 @@ orbit.  Every append is likewise a relabelling of a degree-(n-1)
 representative times x_n or a degree-(n-2) one times (x_{n-1} x_n).
 
 Relation rows are integral: straightening only ever halves, so every
-product in the table is ints over one power of two, 2**s, as
-trees.straighten_tree returns it, and a row's six terms are added in int
+product in the table is ints over one power of two, 2**s, as the
+table's straightener returns it, and a row's six terms are added in int
 arithmetic, shifting the running sum left when a term brings a larger s.
 Each row is then scaled, where it is built, by the least power of two that
 makes it integral, which moves neither its span over Q nor its rank modulo
@@ -81,7 +89,7 @@ from .trees import (
     node,
     normal_types,
     scaled_sum,
-    straighten_tree,
+    straightener,
 )
 
 
@@ -151,18 +159,14 @@ def _unit_factors(g: int):
             yield (i, j), content
 
 
-def _mul_normal(m1: tuple, m2: tuple) -> tuple:
-    """Product of two normal monomials, straightened, as (s, pairs): the
-    sorted (monomial, int) pairs times 2**-s, with s the least such power."""
-    return straighten_tree(node(monomial_to_tree(m1), monomial_to_tree(m2)))
-
-
 class _Products:
-    """Products of normal monomials for one computation.
+    """Products of normal monomials for one computation, and the only owner
+    of its straightening state.
 
     Monomials are interned as ids (`ids`, `mons`); the product of two ids
     and the product (ab)c are memoised as (s, ((id, int), ...)), the ints
-    times 2**-s.
+    times 2**-s.  Products are straightened by the table's own
+    trees.straightener(), whose memo goes with the table.
     """
 
     def __init__(self):
@@ -170,6 +174,7 @@ class _Products:
         self.mons: list = []
         self._pairs: dict = {}
         self._left: dict = {}
+        self._straighten = straightener()
 
     def id(self, m: tuple) -> int:
         i = self.ids.get(m)
@@ -182,7 +187,8 @@ class _Products:
         key = (i, j) if i <= j else (j, i)
         out = self._pairs.get(key)
         if out is None:
-            s, terms = _mul_normal(self.mons[i], self.mons[j])
+            tree = node(monomial_to_tree(self.mons[i]), monomial_to_tree(self.mons[j]))
+            s, terms = self._straighten(tree)
             out = self._pairs[key] = s, tuple((self.id(m), c) for m, c in terms)
         return out
 
@@ -234,13 +240,6 @@ class _Products:
         k = common_twos(out.values(), shift)
         mons = self.mons
         return {mons[i]: c >> k for i, c in out.items() if c}
-
-
-def _jordan_row(b1: tuple, b2: tuple, b3: tuple, b4: tuple) -> dict:
-    """The defining identity at four normal monomials, in normal coordinates,
-    scaled by the least power of two that makes its coefficients integers."""
-    table = _Products()
-    return table.row(*(table.id(b) for b in (b1, b2, b3, b4)))
 
 
 def _lower_contents(delta: tuple):
@@ -411,28 +410,33 @@ class Component:
 
 def component(delta) -> Component:
     """Exact quotient model; refuses total degree above 8, a far smaller
-    bound than the modular path's."""
-    # checked before the cache, which would take (2.0, 2) for (2, 2)
-    return _component(_check_content(delta))
-
-
-@cache
-def _component(delta: tuple) -> Component:
-    n = sum(delta)
-    if n > 8:
+    bound than the modular path's.  Its lower contents are built in this
+    call, on one product table."""
+    delta = _check_content(delta)
+    if sum(delta) > 8:
         raise InfeasibleError(
-            "exact echelon form refused at total degree %d > 8" % n,
+            "exact echelon form refused at total degree %d > 8" % sum(delta),
             estimate="up to %d spanning monomials" % _span_estimate(delta),
         )
-    red = ExactRowReducer()
-    # the lower components' pivot rows, relabelled, sit on disjoint columns
-    # and keep their leading keys: they are already the reduced echelon
-    # form of the appended rows
-    for u, lower in _lower_contents(delta):
-        for lead, row in _component(lower)._reducer.pivot_rows.items():
-            red.pivot_rows[_appended(lead, u)] = {
-                _appended(m, u): c for m, c in row.items()
-            }
-    for r in relation_rows(delta):
-        red.add(r)
-    return Component(delta, normal_monomials(delta), red)
+    return _components(_nonzero_subcontents(delta), _Products())[delta]
+
+
+def _components(contents, table: _Products) -> dict:
+    """{content: Component} for contents, which must hold every content
+    that _lower_contents reaches from them, built lowest degree first with
+    relation rows from table."""
+    out = {}
+    for delta in sorted(contents, key=sum):
+        red = ExactRowReducer()
+        # the lower components' pivot rows, relabelled, sit on disjoint
+        # columns and keep their leading keys: they are already the reduced
+        # echelon form of the appended rows
+        for u, lower in _lower_contents(delta):
+            for lead, row in out[lower]._reducer.pivot_rows.items():
+                red.pivot_rows[_appended(lead, u)] = {
+                    _appended(m, u): c for m, c in row.items()
+                }
+        for r in relation_rows(delta, table):
+            red.add(r)
+        out[delta] = Component(delta, normal_monomials(delta), red)
+    return out

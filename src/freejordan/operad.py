@@ -23,7 +23,10 @@ character formula (1/|G|) sum_{g in G} chi^lambda(g), with G read off the
 type's tree; a kernel of any other width mod p is refused with
 ArithmeticError.  The multiplicity of the irreducible in the quotient is
 sum_ti c_ti - rank, certified modulo two primes; one walk of the
-generators ranks both, each integer band built once for every prime's Q.
+generators ranks both, each prime's batch built band by band, added and
+dropped before the next prime's.  The fresh relation rows of
+consequences(n) are built on one multidegree product table, which owns
+their straightening state.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .linalg import RankAccumulator, certify, choose_primes
-from .multidegree import _jordan_row, _slot_splits
+from .multidegree import _Products, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
 from .trees import (
@@ -75,6 +78,7 @@ def consequences(n: int) -> tuple:
         return ()
     out = []
     seen = set()
+    table = _Products()
     for split in _slot_splits((n,)):
         degs = [s[0] for s in split]
         for comps in product(*(normal_types(d) for d in degs)):
@@ -85,9 +89,9 @@ def consequences(n: int) -> tuple:
                 continue
             seen.add(key)
             labels = iter(range(1, n + 1))  # consumed slot by slot, in order
-            elt = _jordan_row(*(
-                monomial_key(tuple(islice(labels, min(d, 2))),
-                             [tuple(islice(labels, c)) for c in comp])
+            elt = table.row(*(
+                table.id(monomial_key(tuple(islice(labels, min(d, 2))),
+                                      [tuple(islice(labels, c)) for c in comp]))
                 for d, comp in slots
             ))
             if elt:
@@ -225,30 +229,32 @@ def _slot_kernels(shape: tuple, n: int, p: int, clifton) -> list:
 def _row_batches(shape: tuple, n: int, kernels: dict, clifton):
     """The generator rows on the slot-symmetry quotient, for every prime p
     of kernels {p: [Q_ti]}: for each generator, d rows whose band of type
-    ti is (sum of c * A(sigma)^T over its terms of that type) @ Q_ti,p,
-    24 generators to a batch {p: rows}.  Each integer band is built once
-    and multiplied by every prime's Q."""
+    ti is (sum of c * A(sigma)^T over its terms of that type) @ Q_ti,p.
+    Each batch of 24 generators is yielded as rows(p), which builds prime
+    p's rows when called, one integer band at a time: a caller holds one
+    prime's batch and one band, where a chunk's bands held for every
+    prime would outweigh a second batch."""
     d = dim_irrep(shape)
     offsets = np.cumsum([0, *_projected_widths(shape, n)])
     top = max(kernels)
     gens = iter(_sigma_expansion(n))
     while chunk := list(islice(gens, 24)):
-        by_type: dict = {}
-        for k, terms in enumerate(chunk):
-            for ti, sigma, c in terms:
-                by_type.setdefault(ti, []).append((k, sigma, c))
-        batches = {p: np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
-                   for p in kernels}
-        for ti, terms in by_type.items():
-            band = np.zeros((len(chunk) * d, d), dtype=np.int64)
-            for k, sigma, c in terms:
-                band[k * d : (k + 1) * d] += c * clifton(sigma).T.astype(np.int64)
-            # signed small integers times residues: exact in int64
-            if int(np.abs(band).sum(axis=1).max()) * (top - 1) >= 2**63:
-                raise OverflowError("band sums too large for int64 products mod %d" % top)
-            for p, batch in batches.items():
+        # the chunk is bound now: the loop rebinds it
+        def rows(p, chunk=chunk):
+            batch = np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
+            for ti in {ti for terms in chunk for ti, _, _ in terms}:
+                band = np.zeros((len(chunk) * d, d), dtype=np.int64)
+                for k, terms in enumerate(chunk):
+                    for tk, sigma, c in terms:
+                        if tk == ti:
+                            band[k * d : (k + 1) * d] += c * clifton(sigma).T.astype(np.int64)
+                # signed small integers times residues: exact in int64
+                if int(np.abs(band).sum(axis=1).max()) * (top - 1) >= 2**63:
+                    raise OverflowError("band sums too large for int64 products mod %d" % top)
                 batch[:, offsets[ti] : offsets[ti + 1]] = band @ kernels[p][ti]
-        yield batches
+            return batch
+
+        yield rows
 
 
 def multiplicity(shape: tuple, n: int, primes=None) -> int:
@@ -261,7 +267,8 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     kernels = {p: _slot_kernels(shape, n, p, clifton)
                for p in choose_primes(width, n, primes)}
     accs = {p: RankAccumulator(width, p) for p in kernels}
-    # one walk of the generators for all primes, until every rank is full
+    # one walk of the generators for all primes, until every rank is full;
+    # each prime's batch is built, added and dropped before the next
     batches = _row_batches(shape, n, kernels, clifton)
     while not all(acc.is_full for acc in accs.values()):
         rows = next(batches, None)
@@ -269,7 +276,7 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
             break
         for p, acc in accs.items():
             if not acc.is_full:
-                acc.add(rows[p])
+                acc.add(rows(p))
     return width - certify({p: acc.rank for p, acc in accs.items()})
 
 

@@ -645,7 +645,7 @@ def _truncated_two_gen(N: int) -> AlgebraFD:
 
 
 def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
-    from .multidegree import _mul_normal, component
+    from .multidegree import _components, _Products
 
     if (g, N) not in [(1, n) for n in range(1, 9)] and not (g == 3 and N <= 5):
         raise InfeasibleError(
@@ -657,7 +657,9 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
         for delta in itertools.product(range(total + 1), repeat=g):
             if sum(delta) == total:
                 contents.append(delta)
-    comps = {delta: component(delta) for delta in contents}
+    # the components and the structure constants share one product table
+    products = _Products()
+    comps = _components(contents, products)
     basis = []
     for delta in contents:
         basis.extend((delta, m) for m in comps[delta].basis)
@@ -677,8 +679,8 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
             dsum = _deg_add(d1, d2)
             if sum(dsum) > N:
                 continue
-            shift, terms = _mul_normal(*sorted((m1, m2)))
-            prod = {m: Fraction(c, 1 << shift) for m, c in terms}
+            shift, terms = products.mul(products.id(m1), products.id(m2))
+            prod = {products.mons[i]: Fraction(c, 1 << shift) for i, c in terms}
             coords = comps[dsum].coords(prod)
             entry = {index[(dsum, m)]: c for m, c in coords.items()}
             if entry:

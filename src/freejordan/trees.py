@@ -23,11 +23,17 @@ identical shape the two reductions are averaged, which makes the whole map
 commute with relabeling.  That equivariance is what lets the rank method
 represent a full S_n-orbit of relations by one d_lambda-wide block.
 
-The only divisions are those tie averages, so straighten_tree works over
+The only divisions are those tie averages, so straightening works over
 the integers: an expansion is (s, ((monomial, int), ...)), the ints times
 2**-s with s the least such power, and the five-term rewrite and the
 average add the expansions of their terms as ints shifted onto one power
 of two.  straighten converts to Fractions at the boundary.
+
+Straightening memoises every subtree it meets, and shape keys with it.
+Those memos are not process-global: straightener() returns a fresh
+straighten function with its own, and a computation keeps one for as long
+as it runs (multidegree's product table owns it); straighten(t) uses a
+fresh one per call.
 """
 
 from __future__ import annotations
@@ -52,14 +58,13 @@ def tree_labels(t: tuple) -> tuple:
     return tree_labels(t[1]) + tree_labels(t[2])
 
 
-@cache
-def shape_key(t: tuple) -> tuple:
-    """Label-free total order on tree shapes."""
+def shape_key(t: tuple, key=None) -> tuple:
+    """Label-free total order on tree shapes, led by the degree.  The
+    children's keys come from key, shape_key itself by default, so a
+    memoised key recurses through its own memo."""
     if t[0] == 1:
         return (1,)
-    a, b = shape_key(t[1]), shape_key(t[2])
-    if b < a:
-        a, b = b, a
+    a, b = sorted(map(key or shape_key, t[1:]))
     return (t[0], a, b)
 
 
@@ -202,25 +207,63 @@ def multilinear_monomials(n: int) -> list:
 # --- straightening -----------------------------------------------------------
 
 
-def _order_pair(a: tuple, b: tuple):
-    """(bigger, smaller, tied?) by degree then shape; ties averaged by caller."""
-    ka = (a[0], shape_key(a))
-    kb = (b[0], shape_key(b))
-    if ka == kb:
-        return a, b, True
-    return (a, b, False) if ka > kb else (b, a, False)
+def straightener():
+    """A fresh straighten_tree: tree -> (s, ((monomial, int), ...)), the
+    normal-form expansion as ints times 2**-s, with s the least such power.
 
+    Its memo of straightened trees, and the memo of the shape keys its
+    branch decisions read, belong to the returned function and are freed
+    with it (by the cyclic garbage collector: the closures refer to each
+    other).  One computation keeps one straightener, so no straightening
+    state outlives the computation.
+    """
+    shape = cache(lambda t: shape_key(t, shape))
 
-@cache
-def straighten_tree(t: tuple) -> tuple:
-    """Normal-form expansion of a tree as (s, ((monomial, int), ...)): the
-    ints times 2**-s, with s the least such power."""
-    if t[0] == 1:
-        return 0, ((((t[1],), ()), 1),)
-    core, factor, tied = _order_pair(t[1], t[2])
-    if tied:
-        return scaled_sum(((1, _reduce(t[1], t[2])), (1, _reduce(t[2], t[1]))), 1)
-    return _reduce(core, factor)
+    def order_pair(a, b):
+        # (bigger, smaller, tied?) by shape, which leads with the degree
+        ka, kb = shape(a), shape(b)
+        if ka == kb:
+            return a, b, True
+        return (a, b, False) if ka > kb else (b, a, False)
+
+    @cache
+    def straighten_tree(t):
+        if t[0] == 1:
+            return 0, ((((t[1],), ()), 1),)
+        core, factor, tied = order_pair(t[1], t[2])
+        if tied:
+            return scaled_sum(((1, rewrite(t[1], t[2])), (1, rewrite(t[2], t[1]))), 1)
+        return rewrite(core, factor)
+
+    def rewrite(core, factor):
+        fd = factor[0]
+        if fd == 1:
+            if core[0] == 1:
+                return 0, ((monomial_key((core[1], factor[1]), ()), 1),)
+            return _append_factor(straighten_tree(core), (factor[1],))
+        if fd == 2:
+            pair = (factor[1][1], factor[2][1])
+            if core[0] == 1:
+                # degree-3 tree x(ab): the comb starts at the pair
+                return 0, ((monomial_key(pair, ((core[1],),)), 1),)
+            return _append_factor(straighten_tree(core), pair)
+        # factor = (a c) b with degree >= 3: five-term rewrite, averaged
+        # over the two splits when they tie
+        p, q, tied = order_pair(factor[1], factor[2])
+        terms = []
+        for ac, b in ((p, q), (q, p)) if tied else ((p, q),):
+            a, c = ac[1], ac[2]
+            for sign, built in (
+                (-1, node(node(node(core, c), b), a)),
+                (-1, node(node(node(core, a), b), c)),
+                (1, node(node(core, b), node(a, c))),
+                (1, node(node(core, c), node(a, b))),
+                (1, node(node(core, a), node(b, c))),
+            ):
+                terms.append((sign, straighten_tree(built)))
+        return scaled_sum(terms, int(tied))
+
+    return straighten_tree
 
 
 def scaled_sum(terms, halvings: int = 0) -> tuple:
@@ -257,38 +300,10 @@ def _append_factor(expansion, f: tuple):
     )
 
 
-def _reduce(core: tuple, factor: tuple) -> tuple:
-    fd = factor[0]
-    if fd == 1:
-        if core[0] == 1:
-            return 0, ((monomial_key((core[1], factor[1]), ()), 1),)
-        return _append_factor(straighten_tree(core), (factor[1],))
-    if fd == 2:
-        pair = (factor[1][1], factor[2][1])
-        if core[0] == 1:
-            # degree-3 tree x(ab): the comb starts at the pair
-            return 0, ((monomial_key(pair, ((core[1],),)), 1),)
-        return _append_factor(straighten_tree(core), pair)
-    # factor = (a c) b with degree >= 3: five-term rewrite, averaged over
-    # the two splits when they tie
-    p, q, tied = _order_pair(factor[1], factor[2])
-    terms = []
-    for ac, b in ((p, q), (q, p)) if tied else ((p, q),):
-        a, c = ac[1], ac[2]
-        for sign, built in (
-            (-1, node(node(node(core, c), b), a)),
-            (-1, node(node(node(core, a), b), c)),
-            (1, node(node(core, b), node(a, c))),
-            (1, node(node(core, c), node(a, b))),
-            (1, node(node(core, a), node(b, c))),
-        ):
-            terms.append((sign, straighten_tree(built)))
-    return scaled_sum(terms, int(tied))
-
-
 def straighten(t: tuple) -> dict:
-    """Public entry: tree -> {normal monomial: Fraction coefficient}."""
-    s, pairs = straighten_tree(t)
+    """Public entry: tree -> {normal monomial: Fraction coefficient}, on a
+    fresh straightener()."""
+    s, pairs = straightener()(t)
     return {m: Fraction(c, 1 << s) for m, c in pairs}
 
 

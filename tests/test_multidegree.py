@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -12,9 +14,8 @@ from freejordan import tables
 from freejordan.errors import InfeasibleError
 from freejordan.linalg import ExactRowReducer, RankAccumulator, blas_primes
 from freejordan.multidegree import (
-    _jordan_row,
     _lower_contents,
-    _mul_normal,
+    _nonzero_subcontents,
     _Products,
     _seeded_ranks,
     _slot_splits,
@@ -33,6 +34,7 @@ from freejordan.trees import (
     node,
     normal_types,
     straighten,
+    straightener,
 )
 
 
@@ -129,17 +131,27 @@ def test_relation_rows_have_uniform_content():
                 assert tuple(labels.count(i + 1) for i in range(g)) == delta
 
 
+# rows and reference products over many slot tuples share one memo each
+_TABLE = _Products()
+_straighten_tree = straightener()
+
+
+def _table_row(*slots) -> dict:
+    """The defining identity at four normal monomials, built on _TABLE."""
+    return _TABLE.row(*(_TABLE.id(b) for b in slots))
+
+
 def test_relation_rows_are_integral():
     # straightening halves this instance; it is scaled by 2 where it is built
     y = ((2,), ())
-    assert _jordan_row(y, y, y, ((1, 1), ((2,),))) == {
+    assert _table_row(y, y, y, ((1, 1), ((2,),))) == {
         ((1, 1), ((2,), (2,), (2, 2))): -3,
         ((2, 2), ((2,), (1,), (1, 2))): 2,
         ((2, 2), ((2,), (1,), (2,), (1,))): -2,
         ((2, 2), ((2,), (2,), (1, 1))): 1,
         ((1, 1), ((2,), (2,), (2,), (2,))): 2,
     }
-    rows = [_jordan_row(y, y, y, ((1, 1), ((2,),)))]
+    rows = [_table_row(y, y, y, ((1, 1), ((2,),)))]
     rows += [r for n in range(4, 8) for r in consequences(n)]
     rows += relation_rows((3, 2, 1))
     assert all(type(c) is int for r in rows for c in r.values())
@@ -151,9 +163,9 @@ def _ref_mul(e1: dict, e2: dict) -> dict:
     out = {}
     for m1, c1 in e1.items():
         for m2, c2 in e2.items():
-            t = node(monomial_to_tree(m1), monomial_to_tree(m2))
-            for m, d in straighten(t).items():
-                out[m] = out.get(m, 0) + c1 * c2 * d
+            s, pairs = _straighten_tree(node(monomial_to_tree(m1), monomial_to_tree(m2)))
+            for m, d in pairs:
+                out[m] = out.get(m, 0) + c1 * c2 * Fraction(d, 1 << s)
     return {m: c for m, c in out.items() if c}
 
 
@@ -246,17 +258,18 @@ def _check_seeded_ranks(delta: tuple, primes) -> int:
     return sum(r < want for r in ranks.values())
 
 
-def test_mul_normal_is_straighten_over_a_power_of_two():
+def test_table_mul_is_straighten_over_a_power_of_two():
     # degree 6 on two generators is the first place a product is halved
     mons = [m for a in range(6) for b in range(6 - a) if a + b
             for m in normal_monomials((a, b))]
     halved = 0
+    table = _Products()
     for m1, m2 in itertools.combinations_with_replacement(mons, 2):
         if len(monomial_slot_labels(m1) + monomial_slot_labels(m2)) != 6:
             continue
-        s, terms = _mul_normal(*sorted((m1, m2)))
+        s, terms = table.mul(table.id(m1), table.id(m2))
         tree = node(monomial_to_tree(m1), monomial_to_tree(m2))
-        assert {m: Fraction(c, 2**s) for m, c in terms} == straighten(tree)
+        assert {table.mons[i]: Fraction(c, 2**s) for i, c in terms} == straighten(tree)
         assert all(type(c) is int for _, c in terms)
         assert s == 0 or any(c % 2 for _, c in terms)  # the least power
         halved += s > 0
@@ -316,7 +329,7 @@ def _row_instances(draw):
 @given(_row_instances())
 @settings(max_examples=150, deadline=None)
 def test_jordan_row_matches_the_fraction_reference(slots):
-    row = _jordan_row(*slots)
+    row = _table_row(*slots)
     assert row == _ref_row(*slots)
     assert all(type(c) is int for c in row.values())
 
@@ -383,6 +396,29 @@ def test_nonintegral_contents_are_refused():
     for delta in [(2.5, 2), (2.0, 2), (True, 1)]:
         with pytest.raises(ValueError, match="must be integers"):
             component(delta)
+
+
+def test_a_finished_call_keeps_no_straightening_state():
+    # the process caches a call may fill are warmed first: imports, the
+    # primes, and the normal monomials and subcontents it reaches
+    multidegree_dim((2, 1, 1))
+    for delta in ((5, 2, 1), (4, 1, 1)):
+        for s in _nonzero_subcontents(delta):
+            normal_monomials(s)
+            _nonzero_subcontents(s)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        multidegree_dim((5, 2, 1))
+        component((4, 1, 1))
+        # the closures of one computation hold its table in cycles
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # process-global straightening memos kept about 2 MB here
+    assert kept < 1_000_000, kept
 
 
 def test_prime_independence():

@@ -55,6 +55,23 @@ def test_generator_counts():
         assert len(_tree_consequences(n)) == jordan_identity_count(n)
 
 
+def test_consequences_on_one_table_equal_a_fresh_table_per_row(monkeypatch):
+    import freejordan.operad as operad_mod
+    from freejordan.multidegree import _Products
+
+    class FreshPerRow(_Products):
+        def row(self, *ids):
+            fresh = _Products()
+            return fresh.row(*(fresh.id(self.mons[i]) for i in ids))
+
+    want = {n: consequences(n) for n in range(4, 9)}
+    monkeypatch.setattr(operad_mod, "_Products", FreshPerRow)
+    for n in range(4, 9):
+        # the lower degrees' rows, appended, come from the cache: each
+        # degree's own fresh rows are compared in turn
+        assert consequences.__wrapped__(n) == want[n], n
+
+
 def test_consequences_are_normal_multilinear():
     for n in (4, 5, 6):
         for gen in consequences(n):
@@ -248,7 +265,7 @@ def test_row_batches_give_every_prime_its_own_rows(pair):
             kernels = {p: _slot_kernels(shape, n, p, clifton) for p in primes}
             batches = list(_row_batches(shape, n, kernels, clifton))
             for p in primes:
-                got = np.concatenate([b[p] for b in batches]) % p
+                got = np.concatenate([rows(p) for rows in batches]) % p
                 assert got.shape == (len(gens) * d, sum(widths))
                 for g, terms in enumerate(gens):
                     bands = [np.zeros((d, d), dtype=object) for _ in widths]
@@ -284,12 +301,13 @@ def test_multiplicity_pulls_no_batch_once_every_prime_is_full(monkeypatch):
     assert multiplicity(shape, n) == 0
     assert 0 < len(pulled) < len(expansion) / 24
     width = sum(_projected_widths(shape, n))
-    accs = {p: RankAccumulator(width, p) for p in pulled[0]}
+    primes = blas_primes(width)
+    accs = {p: RankAccumulator(width, p) for p in primes}
     for rows in pulled:
         # every batch pulled found some prime short of full rank
         assert not all(acc.is_full for acc in accs.values())
         for p, acc in accs.items():
-            acc.add(rows[p])
+            acc.add(rows(p))
     assert all(acc.is_full for acc in accs.values())
 
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freejordan.linalg import add_scaled
-from freejordan.multidegree import _jordan_row, normal_monomials
+from freejordan.multidegree import _Products, normal_monomials
 from freejordan.trees import (
-    _order_pair,
     all_trees,
     leaf,
     monomial_key,
@@ -24,7 +23,7 @@ from freejordan.trees import (
     relabel_tree,
     shape_key,
     straighten,
-    straighten_tree,
+    straightener,
     substitute_leaf,
     tree_labels,
     type_swap_perms,
@@ -265,15 +264,22 @@ def test_six_leaf_blocked_shape_reduces():
 
 
 # Fraction reference: the straightening rewrite with rational coefficients,
-# averaging tied reductions with weight 1/2, as straighten_tree's int form
+# averaging tied reductions with weight 1/2, as straightener()'s int form
 # must reproduce after dividing by 2**s.
+
+
+def _ref_order_pair(a: tuple, b: tuple):
+    ka, kb = (a[0], shape_key(a)), (b[0], shape_key(b))
+    if ka == kb:
+        return a, b, True
+    return (a, b, False) if ka > kb else (b, a, False)
 
 
 @cache
 def _ref_straighten_tree(t: tuple) -> tuple:
     if t[0] == 1:
         return ((((t[1],), ()), Fraction(1)),)
-    core, factor, tied = _order_pair(t[1], t[2])
+    core, factor, tied = _ref_order_pair(t[1], t[2])
     if tied:
         out: dict = {}
         add_scaled(out, dict(_ref_reduce(t[1], t[2])), Fraction(1, 2))
@@ -301,7 +307,7 @@ def _ref_reduce(core: tuple, factor: tuple) -> tuple:
         if core[0] == 1:
             return ((monomial_key(pair, ((core[1],),)), Fraction(1)),)
         return _ref_append_factor(_ref_straighten_tree(core), pair)
-    p, q, tied = _order_pair(factor[1], factor[2])
+    p, q, tied = _ref_order_pair(factor[1], factor[2])
     out: dict = {}
     weight = Fraction(1, 2) if tied else Fraction(1)
     for ac, b in ((p, q), (q, p)) if tied else ((p, q),):
@@ -321,11 +327,15 @@ def _ref_straighten(t: tuple) -> dict:
     return dict(_ref_straighten_tree(t))
 
 
+# the reference checks straighten many trees on one memo
+_straighten_tree = straightener()
+
+
 def _check_against_the_reference(t: tuple) -> None:
-    s, pairs = straighten_tree(t)
+    s, pairs = _straighten_tree(t)
     assert all(type(c) is int and c for _, c in pairs)
     assert s == 0 or any(c % 2 for _, c in pairs)  # the least power
-    assert straighten(t) == _ref_straighten(t)
+    assert {m: Fraction(c, 1 << s) for m, c in pairs} == _ref_straighten(t)
 
 
 def test_straighten_matches_the_fraction_reference_on_products():
@@ -338,7 +348,7 @@ def test_straighten_matches_the_fraction_reference_on_products():
         if len(monomial_slot_labels(m1) + monomial_slot_labels(m2)) <= 7:
             t = node(monomial_to_tree(m1), monomial_to_tree(m2))
             _check_against_the_reference(t)
-            halved += straighten_tree(t)[0] > 0
+            halved += _straighten_tree(t)[0] > 0
     assert halved
 
 
@@ -351,7 +361,8 @@ def test_straighten_matches_the_fraction_reference_on_random_trees(n, g, rnd):
 
 
 def _jordan_row_on_labels(*labels):
-    return _jordan_row(*(((x,), ()) for x in labels))
+    table = _Products()
+    return table.row(*(table.id(((x,), ())) for x in labels))
 
 
 def test_jordan_element_frozen():
