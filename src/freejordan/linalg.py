@@ -9,7 +9,10 @@ float. There are two elimination engines and one oracle:
   package comes from it;
 - ExactRowReducer, incremental reduced echelon form over Q on sparse dict
   rows, for spaces that need exact quotient coordinates; its columns are
-  any sortable keys, so callers key rows by their own basis elements;
+  any sortable keys, so callers key rows by their own basis elements.
+  It stores each pivot row as the primitive integer multiple of its
+  reduced echelon row and eliminates fraction-free; Fractions are made
+  only where reduce returns a remainder;
 - bareiss_rank, fraction-free rank over Z, the exact oracle for tests.
 
 add_scaled is the one sparse axpy, dst += c * src on dict vectors.
@@ -335,17 +338,47 @@ def add_scaled(dst: dict, src: dict, c=1) -> None:
             dst.pop(k, None)
 
 
+def _integral(row) -> tuple:
+    """(den, {column: int}) with row = {column: int} / den, zero entries
+    dropped, den the lcm of the entries' denominators."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    row = {j: x for j, x in items if x}
+    if all(type(x) is int for x in row.values()):
+        return 1, row
+    row = {j: Fraction(x) for j, x in row.items()}
+    den = math.lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _primitive(row: dict, lead) -> None:
+    """Divide an int row, in place, by the gcd of its entries, signed so
+    that its entry at lead is positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+
+
 class ExactRowReducer:
     """Incremental reduced row echelon form over Q, on sparse rows.
 
-    A row is a dict {column: value}, its columns any sortable keys; a
-    dense sequence is read as its nonzero entries.  Each pivot row is
-    stored as such a dict, scaled to 1 at its pivot column (its smallest
-    column) and zero at every other pivot column.  Because of that second
-    property, reducing a row only subtracts the pivot rows whose pivot
-    columns occur in it, in one pass, and the remainder (a dict, zero
-    entries dropped) has no entry in any pivot column: its entries are the
-    row's coordinates on the non-pivot columns.
+    A row is a dict {column: value}, its columns any sortable keys and its
+    values ints or Fractions; a dense sequence is read as its nonzero
+    entries.  Each pivot row is stored as a dict of ints, the rational
+    reduced echelon row (1 at its pivot column, its smallest column, and 0
+    at every other pivot column) scaled to the primitive integer row with a
+    positive pivot entry: one integer row per rational one.  Because of the
+    zeros, reducing a row only eliminates the pivot columns that occur in
+    it, one pivot row each, and the remainder has no entry in any pivot
+    column: its entries are the row's coordinates on the non-pivot
+    columns.
+
+    Elimination is fraction-free: a row is cleared of denominators once,
+    eliminated as row <- a*row - c*pivot with a and c coprime, and carries
+    the product of the a's as its denominator.  Fractions are made only
+    where reduce returns them.
 
     Far slower than the modular accumulators for ranks alone; meant for
     spaces where exact quotient coordinates are needed.
@@ -358,25 +391,46 @@ class ExactRowReducer:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
+    def _remainder(self, row) -> tuple:
+        # (den, int row) with row / den the remainder of row mod the span
+        den, row = _integral(row)
+        pivots = self.pivot_rows
+        for col in [j for j in row if j in pivots]:
+            pivot = pivots[col]
+            c, a = row[col], pivot[col]
+            g = math.gcd(c, a)
+            if g != 1:
+                c //= g
+                a //= g
+            if a != 1:
+                den *= a
+                for j in row:
+                    row[j] *= a
+            add_scaled(row, pivot, -c)
+        return den, row
+
     def reduce(self, row) -> dict:
-        """Remainder of one row modulo the accumulated span."""
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {j: Fraction(x) for j, x in items if x}
-        for col in [j for j in row if j in self.pivot_rows]:
-            add_scaled(row, self.pivot_rows[col], -row[col])
-        return row
+        """Remainder of one row modulo the accumulated span, with Fraction
+        values."""
+        den, row = self._remainder(row)
+        return {j: Fraction(x, den) for j, x in row.items()}
 
     def add(self, row) -> bool:
         """Insert one row; returns True when it enlarged the span."""
-        row = self.reduce(row)
+        row = self._remainder(row)[1]
         if not row:
             return False
         lead = min(row)
-        inv = 1 / row[lead]
-        row = {j: x * inv for j, x in row.items()}
-        for pivot in self.pivot_rows.values():
+        _primitive(row, lead)
+        a = row[lead]
+        for col, pivot in self.pivot_rows.items():
             c = pivot.get(lead)
             if c:
-                add_scaled(pivot, row, -c)
+                g = math.gcd(c, a)
+                if a != g:
+                    for j in pivot:
+                        pivot[j] *= a // g
+                add_scaled(pivot, row, -(c // g))
+                _primitive(pivot, col)
         self.pivot_rows[lead] = row
         return True

@@ -21,11 +21,11 @@ The appended rows are never built.  Appending u is an injective, order
 keeping relabelling of columns, and the images of distinct u are disjoint
 (u is the last factor), so the lower contents' reduced echelon bases,
 relabelled, already form the reduced echelon basis of everything the
-appended rows span.  Each content is therefore ranked, per prime, by
-recursing into its lower contents, seeding its accumulator with the direct
-sum of their bases (RankAccumulator.direct_sum, no elimination) and adding
-only its own fresh rows; the exact Component does the same with the lower
-components' pivot rows.  The ranks, unlucky primes included, and the
+appended rows span.  Each content is therefore ranked, per prime, after
+its lower contents (lowest degree first), seeding its accumulator with the
+direct sum of their bases (RankAccumulator.direct_sum, no elimination) and
+adding only its own fresh rows; the exact Component does the same with the
+lower components' pivot rows.  The ranks, unlucky primes included, and the
 echelon forms are those of the full row set.
 
 Fresh rows are assembled from a product table kept for one computation
@@ -345,29 +345,34 @@ def _seeded_ranks(delta: tuple, primes) -> dict:
     u is an injective relabelling of columns that spans, mod p, what the
     appended rows span, so every prime's rank is that of the full row set.
     """
-    built = {}  # content -> (width, fresh sparse rows, lower column maps)
+    # every content reached from delta, lowest degree first
+    contents = [delta]
+    for d in contents:
+        contents.extend(low for u, low in _lower_contents(d) if low not in contents)
+    contents.sort(key=sum)
     table = _Products()
-
-    def build(d):
-        if d not in built:
-            span = normal_monomials(d)
-            index = {m: i for i, m in enumerate(span)}
-            rows = [
-                (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
-                for r in relation_rows(d, table)
-            ]
-            lower = [
-                (np.array([index[_appended(m, u)] for m in normal_monomials(low)]), low)
-                for u, low in _lower_contents(d)
-            ]
-            built[d] = len(span), rows, lower
-        return built[d]
-
-    def rank(d, p, accs):
-        if d not in accs:
-            width, rows, lower = build(d)
-            acc = RankAccumulator.direct_sum(
-                width, p, [(cols, rank(low, p, accs)) for cols, low in lower]
+    built = {}  # content -> (width, fresh sparse rows, lower column maps)
+    for d in contents:
+        span = normal_monomials(d)
+        index = {m: i for i, m in enumerate(span)}
+        rows = [
+            (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
+            for r in relation_rows(d, table)
+        ]
+        lower = [
+            (np.array([index[_appended(m, u)] for m in normal_monomials(low)]), low)
+            for u, low in _lower_contents(d)
+        ]
+        built[d] = len(span), rows, lower
+    del table  # its straightening memo is not needed for the ranks
+    ranks = {}
+    # one prime at a time: its accumulators are dropped before the next
+    for p in primes:
+        accs = {}
+        for d in contents:
+            width, rows, lower = built[d]
+            acc = accs[d] = RankAccumulator.direct_sum(
+                width, p, [(cols, accs[low]) for cols, low in lower]
             )
             for start in range(0, len(rows), 256):
                 if acc.is_full:
@@ -377,11 +382,8 @@ def _seeded_ranks(delta: tuple, primes) -> dict:
                 for k, (cols, vals) in enumerate(chunk):
                     batch[k, cols] = vals
                 acc.add(batch)
-            accs[d] = acc
-        return accs[d]
-
-    # one prime at a time: its accumulators are dropped before the next
-    return {p: rank(delta, p, {}).rank for p in primes}
+        ranks[p] = accs[delta].rank
+    return ranks
 
 
 class Component:

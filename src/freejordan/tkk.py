@@ -27,11 +27,18 @@ antisymmetric, so the "exterior" square is symmetric on the odd part and a
 wedge u^u survives exactly when u is odd.  Chevalley-Eilenberg chains are
 the parity-aware exterior powers; each chain degree is finite dimensional
 even when the total complex is not.
+
+ce_homology runs on integers: it scales the bracket once by D, the lcm of
+its denominators (1, 2 or 4 on the free truncations), which multiplies
+every differential d_k by D.  Ranks do not change under a nonzero scalar,
+and (D d)^2 = D^2 d^2 vanishes exactly when d^2 does, so the d^2 = 0 check
+keeps its meaning; the row reducer then stays on ints throughout.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -391,16 +398,20 @@ class BSpace:
             block[0].append(pair)
         # the Koszul-signed relation
         #   (-1)^{|a||c|} ab^c + (-1)^{|b||a|} bc^a + (-1)^{|c||b|} ca^b
-        # of (a, b, c) is that of (b, c, a), so every nonzero row arises
-        # from a triple whose first product is nonzero
-        for a, b in J.table:
-            for c in range(J.dim):
-                row = {}
-                self._wedge_into(row, a, b, c)
-                self._wedge_into(row, b, c, a)
-                self._wedge_into(row, c, a, b)
-                if row:
-                    self._blocks[self._key(next(iter(row)))][1].add(row)
+        # of (a, b, c) is that of (b, c, a), and swapping a and b scales it
+        # by (-1)^{|a||b| + |b||c| + |c||a|}, since ab = (-1)^{|a||b|} ba;
+        # so one row per multiset {a <= b <= c} with a nonzero product
+        # spans them all
+        triples = {
+            tuple(sorted((a, b, c))) for a, b in J.table for c in range(J.dim)
+        }
+        for a, b, c in sorted(triples):
+            row = {}
+            self._wedge_into(row, a, b, c)
+            self._wedge_into(row, b, c, a)
+            self._wedge_into(row, c, a, b)
+            if row:
+                self._blocks[self._key(next(iter(row)))][1].add(row)
         self.basis = []
         for key in sorted(self._blocks, key=lambda k: (k is not None, k)):
             block_pairs, red = self._blocks[key]
@@ -711,50 +722,48 @@ def _extend_blocks(L: AlgebraFD, blocks: dict, letters: dict, keep) -> dict:
     return {key: ws for key, ws in out.items() if ws}
 
 
-def _diff_word(L: AlgebraFD, word: tuple) -> dict:
-    par = L.parity
+def _diff_word(par: tuple, table: dict, word: tuple) -> dict:
+    """The Chevalley-Eilenberg differential of one sorted chain word, on
+    the basis parities par and a bracket table {(i, j): {k: coefficient}}.
+
+    Each bracket [x_i, x_j] replaces the pair and moves into the sorted
+    rest of the word; the Koszul signs count the letters each one passes,
+    and an even letter that meets itself gives 0."""
     out = {}
     k = len(word)
-    for i in range(k):
+    odd = [par[x] for x in word]
+    for i in range(k - 1):
         si = 1
         for l in range(i):
-            si = si if (par[word[i]] and par[word[l]]) else -si
+            if not (odd[i] and odd[l]):
+                si = -si
         for j in range(i + 1, k):
-            sj = 1
-            for l in range(j):
-                if l == i:
-                    continue
-                sj = sj if (par[word[j]] and par[word[l]]) else -sj
-            br = L.product(word[i], word[j])
-            if not br:
+            br = table.get((word[i], word[j]))
+            if br is None:
                 continue
+            sj = si
+            for l in range(j):
+                if l != i and not (odd[j] and odd[l]):
+                    sj = -sj
             rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
             for m, cm in br.items():
-                ins = _insert_sorted(L, m, rest)
-                if ins is None:
+                pos = bisect_left(rest, m)
+                if par[m]:
+                    s = sj
+                    for r in rest[:pos]:
+                        if not par[r]:
+                            s = -s
+                elif pos < len(rest) and rest[pos] == m:
                     continue
-                tw, s2 = ins
-                c = si * sj * s2 * cm
-                v = out.get(tw, F0) + c
+                else:
+                    s = -sj if pos & 1 else sj
+                tw = rest[:pos] + (m,) + rest[pos:]
+                v = out.get(tw, 0) + s * cm
                 if v:
                     out[tw] = v
                 else:
-                    out.pop(tw, None)
+                    del out[tw]
     return out
-
-
-def _insert_sorted(L: AlgebraFD, m: int, rest: tuple):
-    if not L.parity[m] and m in rest:
-        return None
-    s = 1
-    pos = 0
-    for r in rest:
-        if r < m:
-            s = s if (L.parity[m] and L.parity[r]) else -s
-            pos += 1
-        else:
-            break
-    return rest[:pos] + (m,) + rest[pos:], s
 
 
 @dataclass
@@ -783,13 +792,22 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
     into an empty block, so its differential is 0.  The differential is
     verified to square to zero on every word built (the words left out
     have d = 0, so d^2 = 0 holds on them too), block by block before that
-    block is ranked.  Ranks are exact over Q; a block of level k stops
+    block is ranked.  The differentials are built from the bracket times
+    D, the lcm of its denominators, so they are D d_k, with integer
+    coefficients: that leaves every rank as it is, and D d squares to zero
+    exactly when d does.  Ranks are exact over Q; a block of level k stops
     taking rows once its rank reaches dim C_{k-1}(key) - rank d_{k-1}(key),
     since d^2 = 0 puts the image of d_k inside the kernel of d_{k-1}.
     """
     if L.kind != "lie":
         raise ValueError("homology asks for a lie-kind algebra")
     L._check_grading()
+    # D times the bracket, in ints: D is the lcm of its denominators
+    D = math.lcm(*(c.denominator for prod in L.table.values() for c in prod.values()))
+    table = {
+        pair: {k: c.numerator * (D // c.denominator) for k, c in prod.items()}
+        for pair, prod in L.table.items()
+    }
     weight = L.sl2_weight or (0,) * L.dim
     letters = {}
     for i in range(L.dim):
@@ -809,7 +827,7 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
             level = _extend_blocks(L, blocks, letters, keep)
         level_diffs, level_ranks = {}, {}
         for key, ws in level.items():
-            imgs = [_diff_word(L, w) for w in ws]
+            imgs = [_diff_word(L.parity, table, w) for w in ws]
             for img in imgs:
                 acc = {}
                 for tw, c in img.items():

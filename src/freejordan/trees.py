@@ -31,15 +31,15 @@ of two.  straighten converts to Fractions at the boundary.
 
 Straightening memoises every subtree it meets, and shape keys with it.
 Those memos are not process-global: straightener() returns a fresh
-straighten function with its own, and a computation keeps one for as long
-as it runs (multidegree's product table owns it); straighten(t) uses a
-fresh one per call.
+straighten callable with its own, free of reference cycles so that they go
+as soon as it does, and a computation keeps one for as long as it runs
+(multidegree's product table owns it); straighten(t) uses a fresh one per
+call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 
 def leaf(v: int) -> tuple:
@@ -207,49 +207,56 @@ def multilinear_monomials(n: int) -> list:
 # --- straightening -----------------------------------------------------------
 
 
-def straightener():
-    """A fresh straighten_tree: tree -> (s, ((monomial, int), ...)), the
-    normal-form expansion as ints times 2**-s, with s the least such power.
+class _Straightener:
+    """straighten_tree with its memos; see straightener()."""
 
-    Its memo of straightened trees, and the memo of the shape keys its
-    branch decisions read, belong to the returned function and are freed
-    with it (by the cyclic garbage collector: the closures refer to each
-    other).  One computation keeps one straightener, so no straightening
-    state outlives the computation.
-    """
-    shape = cache(lambda t: shape_key(t, shape))
+    def __init__(self):
+        self._trees: dict = {}
+        self._shapes: dict = {}
 
-    def order_pair(a, b):
+    def _shape(self, t):
+        k = self._shapes.get(t)
+        if k is None:
+            k = self._shapes[t] = shape_key(t, self._shape)
+        return k
+
+    def _order_pair(self, a, b):
         # (bigger, smaller, tied?) by shape, which leads with the degree
-        ka, kb = shape(a), shape(b)
+        ka, kb = self._shape(a), self._shape(b)
         if ka == kb:
             return a, b, True
         return (a, b, False) if ka > kb else (b, a, False)
 
-    @cache
-    def straighten_tree(t):
-        if t[0] == 1:
-            return 0, ((((t[1],), ()), 1),)
-        core, factor, tied = order_pair(t[1], t[2])
-        if tied:
-            return scaled_sum(((1, rewrite(t[1], t[2])), (1, rewrite(t[2], t[1]))), 1)
-        return rewrite(core, factor)
+    def __call__(self, t):
+        out = self._trees.get(t)
+        if out is None:
+            if t[0] == 1:
+                out = 0, ((((t[1],), ()), 1),)
+            else:
+                core, factor, tied = self._order_pair(t[1], t[2])
+                if tied:
+                    terms = (1, self._rewrite(t[1], t[2])), (1, self._rewrite(t[2], t[1]))
+                    out = scaled_sum(terms, 1)
+                else:
+                    out = self._rewrite(core, factor)
+            self._trees[t] = out
+        return out
 
-    def rewrite(core, factor):
+    def _rewrite(self, core, factor):
         fd = factor[0]
         if fd == 1:
             if core[0] == 1:
                 return 0, ((monomial_key((core[1], factor[1]), ()), 1),)
-            return _append_factor(straighten_tree(core), (factor[1],))
+            return _append_factor(self(core), (factor[1],))
         if fd == 2:
             pair = (factor[1][1], factor[2][1])
             if core[0] == 1:
                 # degree-3 tree x(ab): the comb starts at the pair
                 return 0, ((monomial_key(pair, ((core[1],),)), 1),)
-            return _append_factor(straighten_tree(core), pair)
+            return _append_factor(self(core), pair)
         # factor = (a c) b with degree >= 3: five-term rewrite, averaged
         # over the two splits when they tie
-        p, q, tied = order_pair(factor[1], factor[2])
+        p, q, tied = self._order_pair(factor[1], factor[2])
         terms = []
         for ac, b in ((p, q), (q, p)) if tied else ((p, q),):
             a, c = ac[1], ac[2]
@@ -260,10 +267,21 @@ def straightener():
                 (1, node(node(core, c), node(a, b))),
                 (1, node(node(core, a), node(b, c))),
             ):
-                terms.append((sign, straighten_tree(built)))
+                terms.append((sign, self(built)))
         return scaled_sum(terms, int(tied))
 
-    return straighten_tree
+
+def straightener():
+    """A fresh straighten_tree: tree -> (s, ((monomial, int), ...)), the
+    normal-form expansion as ints times 2**-s, with s the least such power.
+
+    Its memo of straightened trees, and the memo of the shape keys its
+    branch decisions read, belong to the returned callable and hold no
+    reference cycle, so they are freed as soon as it is dropped.  One
+    computation keeps one straightener, so no straightening state
+    outlives the computation.
+    """
+    return _Straightener()
 
 
 def scaled_sum(terms, halvings: int = 0) -> tuple:

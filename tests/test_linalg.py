@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -392,6 +393,58 @@ def test_exact_reducer_dense_and_dict_rows_agree(m, data):
     assert sorted(dense.pivot_rows) == sorted(by_dict.pivot_rows)
     for row in m + probes:
         assert dense.reduce(row) == by_dict.reduce(sparse(row))
+
+
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def fraction_rows(draw):
+    """(ncols, rows): dense Fraction rows, with zero entries kept, each
+    handed to the reducer as a list or as a dict in a drawn key order."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(fractions | st.just(Fraction(0)), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    # a combination of earlier rows, so that some inputs are dependent
+    if len(rows) > 1:
+        c = draw(fractions)
+        rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])
+    return ncols, rows
+
+
+def _as_input(row, order):
+    # a dense list, or a dict with every entry, zeros too, in a given order
+    if order is None:
+        return row
+    return {j: row[j] for j in order}
+
+
+@given(fraction_rows(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_reducer_properties(case, data):
+    ncols, rows = case
+    orders = st.none() | st.permutations(range(ncols))
+    red = ExactRowReducer()
+    for row in rows:
+        red.add(_as_input(row, data.draw(orders)))
+    assert red.rank == bareiss_rank(rows)
+    for lead, pivot in red.pivot_rows.items():
+        assert all(type(x) is int and x for x in pivot.values())
+        assert lead == min(pivot) and pivot[lead] > 0
+        assert math.gcd(*pivot.values()) == 1
+        assert not set(pivot) & (set(red.pivot_rows) - {lead})
+    for row in rows:
+        assert red.reduce(_as_input(row, data.draw(orders))) == {}
+    probes = data.draw(st.lists(
+        st.lists(fractions, min_size=ncols, max_size=ncols), min_size=1, max_size=3
+    ))
+    for probe in probes:
+        rem = red.reduce(_as_input(probe, data.draw(orders)))
+        assert all(type(x) is Fraction and x for x in rem.values())
+        assert not set(rem) & set(red.pivot_rows)
+        # probe - rem lies in the span of the rows
+        diff = [x - rem.get(j, 0) for j, x in enumerate(probe)]
+        assert bareiss_rank(rows + [diff]) == red.rank
 
 
 def test_unlucky_prime_reported():

@@ -528,11 +528,44 @@ def _ref_word_key(L, word):
     return (w, tuple(map(sum, zip(*(L.degree[i] for i in word)))))
 
 
+def _ref_sorted(L, letters):
+    """(sign, word) with x_1 ^ ... ^ x_k = sign * (the sorted word), by
+    bubble sort: swapping neighbours u, v costs -(-1)^{|u||v|}.  None when
+    an even letter repeats."""
+    letters = list(letters)
+    sign = 1
+    for end in range(len(letters) - 1, 0, -1):
+        for t in range(end):
+            u, v = letters[t], letters[t + 1]
+            if u > v:
+                letters[t], letters[t + 1] = v, u
+                sign *= 1 if L.parity[u] and L.parity[v] else -1
+    for u, v in zip(letters, letters[1:]):
+        if u == v and not L.parity[u]:
+            return None
+    return sign, tuple(letters)
+
+
+def _ref_diff(L, word):
+    """d(x_1 ^ ... ^ x_k) = sum over i < j of [x_i, x_j] ^ (the rest), each
+    pair first moved to the front of the word, in Fractions straight from
+    L.table."""
+    out = Counter()
+    for i, j in itertools.combinations(range(len(word)), 2):
+        rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
+        front, _ = _ref_sorted(L, (word[i], word[j]) + rest)
+        for m, c in L.table.get((word[i], word[j]), {}).items():
+            term = _ref_sorted(L, (m,) + rest)
+            if term:
+                out[term[1]] += front * term[0] * Fraction(c)
+    return {w: c for w, c in out.items() if c}
+
+
 def _ref_ce_homology(L, kmax):
     """Every chain word up to length kmax + 1, differentiated and checked,
     then split into (weight, degree) blocks and ranked in full."""
     words = [_ref_chain_words(L, k) for k in range(kmax + 2)]
-    diffs = [{w: tkk._diff_word(L, w) for w in words[k]} for k in range(kmax + 2)]
+    diffs = [{w: _ref_diff(L, w) for w in words[k]} for k in range(kmax + 2)]
     for k in range(2, kmax + 2):
         for w, img in diffs[k].items():
             acc = Counter()
@@ -604,13 +637,17 @@ def _stripped(L):
         (lambda: tag(truncated_free_jordan(1, 1, parities=(1,))), 5),
         (lambda: AlgebraFD("lie", ("a", "b", "c"), {}), 3),
         (lambda: tag(truncated_free_jordan(2, 3)), 2),
+        # brackets with denominator 4: the integer differential is 4 d
+        (lambda: tag(truncated_free_jordan(2, 4)), 1),
         (lambda: tag(truncated_free_jordan(2, 2)), 3),
         (lambda: _stripped(tag(truncated_free_jordan(2, 2))), 3),
         (lambda: tag(truncated_free_jordan(1, 6)), 3),
         (lambda: tag(_relabelled(truncated_free_jordan(2, 3), 1)), 2),
+        # odd brackets that move past letters of both parities
+        (lambda: tag(_kaplansky_k3()), 3),
     ],
-    ids=["sl2", "heisenberg", "abelian", "J23", "J22", "J22-stripped", "J16",
-         "J23-relabelled"],
+    ids=["sl2", "heisenberg", "abelian", "J23", "J24", "J22", "J22-stripped",
+         "J16", "J23-relabelled", "kaplansky-k3"],
 )
 def test_block_homology_matches_full_enumeration(build, kmax):
     L = build()
@@ -623,9 +660,9 @@ def test_homology_differentiates_only_the_kept_top_level(monkeypatch):
     calls = Counter()
     diff_word = tkk._diff_word
 
-    def counted(L, word):
+    def counted(par, table, word):
         calls[len(word)] += 1
-        return diff_word(L, word)
+        return diff_word(par, table, word)
 
     monkeypatch.setattr(tkk, "_diff_word", counted)
     h = ce_homology(tag(truncated_free_jordan(3, 3)), 2)
