@@ -32,7 +32,10 @@ ce_homology runs on integers: it scales the bracket once by D, the lcm of
 its denominators (1, 2 or 4 on the free truncations), which multiplies
 every differential d_k by D.  Ranks do not change under a nonzero scalar,
 and (D d)^2 = D^2 d^2 vanishes exactly when d^2 does, so the d^2 = 0 check
-keeps its meaning; the row reducer then stays on ints throughout.
+keeps its meaning; the row reducer then stays on ints throughout.  The
+chain words of one length are a sorted numpy int32 array, and D d_k is a
+sparse (row, column, value) array computed for a whole slice of words at
+once; only the exact block ranks work on Python dicts.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import InfeasibleError
 from .linalg import ExactRowReducer, add_scaled
@@ -530,23 +534,28 @@ def tag(J: AlgebraFD) -> AlgebraFD:
         if entry:
             table[(i, j)] = entry
 
+    # each product and each wedge class once per basis pair
+    wedge = {(a, b): B.coords(a, b) for a in range(J.dim) for b in range(J.dim)}
+    pairs = [(a, b, J.product(a, b), w) for (a, b), w in wedge.items()
+             if J.product(a, b) or w]
     coupling = Fraction(2)
     for x in range(3):
         for y in range(3):
             xy = _SL2_BRACKET.get((x, y), {})
             tr = _SL2_TRACE.get((x, y), F0)
-            for a in range(J.dim):
-                for b in range(J.dim):
-                    entry = {}
-                    for z, cz in xy.items():
-                        for k, ck in J.product(a, b).items():
-                            key = t_index(z, k)
-                            entry[key] = entry.get(key, F0) + cz * ck
-                    if tr:
-                        for pr, cf in B.coords(a, b).items():
-                            key = b_index[pr]
-                            entry[key] = entry.get(key, F0) + coupling * tr * cf
-                    put(t_index(x, a), t_index(y, b), entry)
+            if not (xy or tr):
+                continue
+            for a, b, ab, ab_wedge in pairs:
+                entry = {}
+                for z, cz in xy.items():
+                    for k, ck in ab.items():
+                        key = t_index(z, k)
+                        entry[key] = entry.get(key, F0) + cz * ck
+                if tr:
+                    for pr, cf in ab_wedge.items():
+                        key = b_index[pr]
+                        entry[key] = entry.get(key, F0) + coupling * tr * cf
+                put(t_index(x, a), t_index(y, b), entry)
     for pr in B.basis:
         D = d_mats[pr]
         w = b_index[pr]
@@ -562,11 +571,11 @@ def tag(J: AlgebraFD) -> AlgebraFD:
             sgn = -1 if (p_w and J.parity[c]) else 1
             entry = {}
             for r, v in D.get(c, {}).items():
-                for tgt, cf in B.coords(r, d).items():
+                for tgt, cf in wedge[r, d].items():
                     key = b_index[tgt]
                     entry[key] = entry.get(key, F0) + v * cf
             for r, v in D.get(d, {}).items():
-                for tgt, cf in B.coords(c, r).items():
+                for tgt, cf in wedge[c, r].items():
                     key = b_index[tgt]
                     entry[key] = entry.get(key, F0) + sgn * v * cf
             put(b_index[pr], b_index[pr2], entry)
@@ -699,71 +708,206 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
     return AlgebraFD("jordan", labels, table, degree=degree)
 
 
-def _extend_blocks(L: AlgebraFD, blocks: dict, letters: dict, keep) -> dict:
-    """Chain words one letter longer, split by (weight, degree) key.
-
-    blocks and letters map a key to its words and to its sorted letters; a
-    word takes letters from its last one on, and an even letter never
-    repeats.  Each key is added once per pair of a block and a letter
-    group; keys outside keep (when not None) are never built.
-    """
-    out = {}
-    for key, words in blocks.items():
-        for lkey, group in letters.items():
-            new = (key[0] + lkey[0],
-                   None if key[1] is None else _deg_add(key[1], lkey[1]))
-            if keep is not None and new not in keep:
-                continue
-            dest = out.setdefault(new, [])
-            for w in words:
-                last = w[-1]
-                start = bisect_left(group, last if L.parity[last] else last + 1)
-                dest.extend(w + (i,) for i in group[start:])
-    return {key: ws for key, ws in out.items() if ws}
+# words per slice when a chain level is built or differentiated
+_SLICE = 1 << 13
 
 
-def _diff_word(par: tuple, table: dict, word: tuple) -> dict:
-    """The Chevalley-Eilenberg differential of one sorted chain word, on
-    the basis parities par and a bracket table {(i, j): {k: coefficient}}.
+def _int_bracket(L: AlgebraFD, kmax: int) -> tuple:
+    """D times the bracket, D the lcm of its denominators, as an int CSR
+    table (indptr, target, coef): the terms of [x_a, x_b] are
+    target[t] * coef[t] for t from indptr[a * dim + b] to
+    indptr[a * dim + b + 1] - 1.
 
-    Each bracket [x_i, x_j] replaces the pair and moves into the sorted
-    rest of the word; the Koszul signs count the letters each one passes,
-    and an even letter that meets itself gives 0."""
-    out = {}
-    k = len(word)
-    odd = [par[x] for x in word]
-    for i in range(k - 1):
-        si = 1
-        for l in range(i):
-            if not (odd[i] and odd[l]):
-                si = -si
-        for j in range(i + 1, k):
-            br = table.get((word[i], word[j]))
-            if br is None:
-                continue
-            sj = si
-            for l in range(j):
-                if l != i and not (odd[j] and odd[l]):
-                    sj = -sj
-            rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
-            for m, cm in br.items():
-                pos = bisect_left(rest, m)
-                if par[m]:
-                    s = sj
-                    for r in rest[:pos]:
-                        if not par[r]:
-                            s = -s
-                elif pos < len(rest) and rest[pos] == m:
+    coef is int64 when every entry of D d_k and every partial sum of
+    D^2 d_k d_{k-1}, k <= kmax + 1, stays below 2^63, and holds Python
+    ints otherwise, so no sum can wrap."""
+    n = L.dim
+    D = math.lcm(*(c.denominator for prod in L.table.values() for c in prod.values()))
+    count = np.zeros(n * n + 1, np.int64)
+    target, coef = [], []
+    for (a, b), prod in sorted(L.table.items()):
+        count[a * n + b + 1] = len(prod)
+        for k, c in sorted(prod.items()):
+            target.append(k)
+            coef.append(c.numerator * (D // c.denominator))
+    # a word of length k has P = k(k-1)/2 pairs, so an entry of D d_k is
+    # at most T P and a row of it has at most P w nonzeros, with T the
+    # largest coefficient and w the most terms of one bracket
+    P = kmax * (kmax + 1) // 2
+    T = max(map(abs, coef), default=0)
+    w = max(map(len, L.table.values()), default=0)
+    dtype = np.int64 if P * w * (T * P) ** 2 < 2**63 else object
+    return np.cumsum(count), np.array(target, np.int64), np.array(coef, dtype)
+
+
+def _letter_keys(L: AlgebraFD, kmax: int) -> np.ndarray:
+    """One row (sl2 weight, degree...) per basis vector; the key of a word
+    is the sum of its letters' rows."""
+    weight = L.sl2_weight or (0,) * L.dim
+    if L.degree is None:
+        rows = [(w,) for w in weight]
+    else:
+        if len({len(d) for d in L.degree}) > 1:
+            raise ValueError("degree tuples of different lengths")
+        rows = [(w,) + d for w, d in zip(weight, L.degree)]
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise ValueError("sl2 weights and degrees must be integers")
+    big = max((abs(x) for row in rows for x in row), default=0)
+    if big * (kmax + 1) >= 2**62:
+        raise ValueError("grading entry %d is too large for 64-bit keys" % big)
+    width = 1 + (len(L.degree[0]) if L.degree else 0)
+    return np.array(rows, np.int64).reshape(L.dim, width)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of an int array in lexicographic order, and the
+    index of each row among them."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(1)
+    inv = np.empty(len(rows), np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return rows[new], inv
+
+
+def _key_index(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """For each row of query, the index of the equal row of ref (whose rows
+    are distinct), or -1."""
+    inv = _unique_rows(np.concatenate([ref, query]))[1]
+    at = np.full(len(inv), -1, np.int64)
+    at[inv[: len(ref)]] = np.arange(len(ref))
+    return at[inv[len(ref) :]]
+
+
+def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """lo[0] .. lo[0] + cnt[0] - 1, then lo[1] .. lo[1] + cnt[1] - 1, and
+    so on, as one array."""
+    return np.arange(int(cnt.sum())) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+
+
+def _sum_by(code: np.ndarray, val: np.ndarray) -> tuple:
+    """The distinct codes in increasing order, each with the sum of its
+    values; codes whose values sum to 0 are dropped."""
+    if not len(code):
+        return code, val
+    order = np.argsort(code, kind="stable")
+    code, val = code[order], val[order]
+    head = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    code, val = code[head], np.add.reduceat(val, head)
+    nz = val != 0
+    return code[nz], val[nz]
+
+
+def _extend(words, kid, first, pair, gid, start) -> tuple:
+    """The chain words one letter longer, in lexicographic order, with
+    their key ids, built in slices of about _SLICE words.
+
+    Word p of words (sorted rows of one length) takes the letters from
+    its first allowed one on, so its children are rows first[p] ..
+    first[p + 1] - 1 of the whole next level; a child whose key id
+    pair[kid[p], gid[letter]] is -1 is left out."""
+    k = words.shape[1] + 1
+    out_words, out_kid = [np.zeros((0, k), np.int32)], [np.zeros(0, np.int64)]
+    lo = 0
+    while lo < len(words):
+        hi = max(int(np.searchsorted(first, first[lo] + _SLICE, "right")) - 1, lo + 1)
+        parent = np.repeat(np.arange(lo, hi), np.diff(first[lo : hi + 1]))
+        letter = np.arange(first[lo], first[hi]) - first[parent]
+        if k > 1:
+            letter += start[words[parent, -1]]
+        ckid = pair[kid[parent], gid[letter]]
+        keep = np.flatnonzero(ckid >= 0)
+        parent = parent[keep]
+        child = np.empty((len(keep), k), np.int32)
+        child[:, :-1] = words[parent]
+        child[:, -1] = letter[keep]
+        out_words.append(child)
+        out_kid.append(ckid[keep])
+        lo = hi
+    return np.concatenate(out_words), np.concatenate(out_kid)
+
+
+def _word_index(words: np.ndarray, firsts: list, start: np.ndarray) -> np.ndarray:
+    """The row of each sorted word in its level: the children of row p of
+    level q - 1 are rows firsts[q][p] .. firsts[q][p + 1] - 1 of level q,
+    one per letter from the first allowed one on."""
+    idx = np.zeros(len(words), np.int64)
+    for q in range(words.shape[1]):
+        idx = firsts[q + 1][idx] + words[:, q]
+        if q:
+            idx -= start[words[:, q - 1]]
+    return idx
+
+
+def _differentiate(words, par, start, bracket, firsts) -> tuple:
+    """D d on a slice of sorted chain words of one length k, as
+    (row, column, value) arrays sorted by row and column, without zeros:
+    row is the word's place in the slice and column the row of the
+    boundary word in level k - 1.
+
+    Each position pair (i, j) is done for the whole slice at once: the
+    bracket [x_i, x_j] replaces the pair and moves into the sorted rest of
+    the word, and the Koszul signs count the letters each one passes; an
+    even letter that meets itself gives 0."""
+    indptr, target, coef = bracket
+    k = words.shape[1]
+    codes, vals = [], []
+    if k >= 2:
+        n = len(par)
+        ncols = int(firsts[k - 1][-1])
+        odd = par[words]
+        # letters before position q that x_q passes with a sign change
+        passes = [(~(odd[:, :q] & odd[:, q : q + 1])).sum(1) for q in range(k)]
+        slots = np.arange(k - 1)
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                ab = words[:, i].astype(np.int64) * n + words[:, j]
+                lo = indptr[ab]
+                cnt = indptr[ab + 1] - lo
+                hit = np.flatnonzero(cnt)
+                if not len(hit):
                     continue
-                else:
-                    s = -sj if pos & 1 else sj
-                tw = rest[:pos] + (m,) + rest[pos:]
-                v = out.get(tw, 0) + s * cm
-                if v:
-                    out[tw] = v
-                else:
-                    del out[tw]
-    return out
+                cnt = cnt[hit]
+                r = np.repeat(hit, cnt)
+                t = _ranges(lo[hit], cnt)
+                m = target[t]
+                rest = words[r[:, None], [q for q in range(k) if q != i and q != j]]
+                below = rest < m[:, None]
+                m_odd = par[m]
+                keep = np.flatnonzero(m_odd | ~(rest == m[:, None]).any(1))
+                r, t, m, rest, below, m_odd = (
+                    x[keep] for x in (r, t, m, rest, below, m_odd))
+                # x_i moves to the front, x_j next to it, then the bracket
+                # past the letters of rest below it
+                flip = passes[i] + passes[j] - ~(odd[:, i] & odd[:, j])
+                flip = flip[r] + (below & ~(m_odd[:, None] & par[rest])).sum(1)
+                val = np.where(flip & 1, -coef[t], coef[t])
+                pos = below.sum(1)[:, None]
+                mm = m[:, None].astype(np.int32)
+                boundary = np.where(
+                    slots < pos,
+                    np.concatenate([rest, mm], 1),
+                    np.where(slots == pos, mm, np.concatenate([mm, rest], 1)),
+                )
+                codes.append(r * ncols + _word_index(boundary, firsts, start))
+                vals.append(val)
+    if not codes:
+        empty = np.zeros(0, np.int64)
+        return empty, empty, np.zeros(0, coef.dtype)
+    code, val = _sum_by(np.concatenate(codes), np.concatenate(vals))
+    return code // ncols, code % ncols, val
+
+
+def _square_is_zero(r, c, v, below) -> bool:
+    """Whether the rows (r, c, v) of D d_k times D d_{k-1} vanish, with
+    below = (indptr, cols, vals, ncols) the CSR form of D d_{k-1}."""
+    indptr, cols, vals, ncols = below
+    lo = indptr[c]
+    cnt = indptr[c + 1] - lo
+    t = _ranges(lo, cnt)
+    code = np.repeat(r, cnt) * ncols + cols[t]
+    return not len(_sum_by(code, np.repeat(v, cnt) * vals[t])[0])
 
 
 @dataclass
@@ -779,95 +923,161 @@ class HomologyResult:
         return sum((-1) ** k * d for k, d in enumerate(self.dims))
 
 
+def _rank_level(words, kid, bound, below, diff, keep) -> tuple:
+    """Rank D d_k on each block of one level, exactly, and check d^2 = 0.
+
+    The words (one level, with key ids kid) go through diff, which gives
+    D d_k on a slice, in slices of _SLICE words in key order, so that one
+    block's rows reach one ExactRowReducer after another; block g takes
+    rows until its rank reaches bound[g].  Every slice is checked against
+    below, the CSR form (indptr, cols, vals, ncols) of D d_{k-1}, before
+    it is ranked.  Returns the rank per key id and, when keep is set, the
+    CSR form of D d_k with its rows in level order (None otherwise)."""
+    rank = np.zeros(len(bound), np.int64)
+    order = np.argsort(kid, kind="stable")
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), below[2][:0])]
+    red, cur = None, -1
+    for lo in range(0, len(order), _SLICE):
+        rows = order[lo : lo + _SLICE]
+        r, c, v = diff(words[rows])
+        if not _square_is_zero(r, c, v, below):
+            raise ValueError("differential does not square to zero; not Lie")
+        ptr = np.searchsorted(r, np.arange(len(rows) + 1)).tolist()
+        cl, vl = c.tolist(), v.tolist()
+        ks = kid[rows]
+        heads = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]).tolist()
+        for a, b in zip(heads, heads[1:] + [len(rows)]):
+            g = int(ks[a])
+            if g != cur:
+                if red is not None:
+                    rank[cur] = red.rank
+                red, cur = ExactRowReducer(), g
+            for t in range(a, b):
+                if red.rank >= bound[g]:
+                    break
+                if ptr[t] < ptr[t + 1]:
+                    red.add(dict(zip(cl[ptr[t] : ptr[t + 1]], vl[ptr[t] : ptr[t + 1]])))
+        if keep:
+            parts.append((rows[r], c, v))
+    if red is not None:
+        rank[cur] = red.rank
+    if not keep:
+        return rank, None
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(r, kind="stable")
+    indptr = np.zeros(len(words) + 1, np.int64)
+    indptr[1:] = np.cumsum(np.bincount(r, minlength=len(words)))
+    return rank, (indptr, c[order], v[order], len(below[0]) - 1)
+
+
 def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
     """Homology of the (super) Chevalley-Eilenberg complex, exactly.
 
     The bracket must add sl2 weight and degree (checked first; ValueError
     otherwise), so the differential preserves the summed (weight, degree)
-    key of a chain word and the complex splits into one block per key.
-    Chain words are built block by block, level k from level k - 1.
+    key of a chain word and the complex splits into one block per key;
+    kmax < 0 raises ValueError.
+
+    Level k holds its chain words as one int32 array, one sorted letter
+    tuple per row, in lexicographic order; it is built from level k - 1 by
+    appending to each word every letter from its last one on (from the
+    one after it when the last letter is even, which never repeats).
     Levels 0..kmax are built whole.  Level kmax + 1 serves only rank
     d_{kmax+1} on the blocks of level kmax, so only its words with a key
     that occurs at level kmax are built: every other top-level word maps
-    into an empty block, so its differential is 0.  The differential is
-    verified to square to zero on every word built (the words left out
-    have d = 0, so d^2 = 0 holds on them too), block by block before that
-    block is ranked.  The differentials are built from the bracket times
-    D, the lcm of its denominators, so they are D d_k, with integer
-    coefficients: that leaves every rank as it is, and D d squares to zero
-    exactly when d does.  Ranks are exact over Q; a block of level k stops
-    taking rows once its rank reaches dim C_{k-1}(key) - rank d_{k-1}(key),
-    since d^2 = 0 puts the image of d_k inside the kernel of d_{k-1}.
+    into an empty block, so its differential is 0.  A word's key is an id
+    into its level's table of distinct (weight, degree...) rows; the id of
+    a longer word comes from the id of its prefix and the key of the new
+    letter.
+
+    The differentials are built from the bracket times D, the lcm of its
+    denominators, so they are D d_k, with integer coefficients: that
+    leaves every rank as it is, and D d squares to zero exactly when d
+    does.  D d_k is computed on slices of the level's words, one position
+    pair at a time, and each boundary word is found in the level below by
+    its prefixes.  Every word built is checked to have D^2 d_k d_{k-1} = 0
+    (the words left out have d = 0, so d^2 = 0 holds on them too) before
+    its block is ranked; only the differential of the level below is kept
+    for that check.  Ranks are exact over Q, block by block; a block of
+    level k stops taking rows once its rank reaches
+    dim C_{k-1}(key) - rank d_{k-1}(key), since d^2 = 0 puts the image of
+    d_k inside the kernel of d_{k-1}.
     """
     if L.kind != "lie":
         raise ValueError("homology asks for a lie-kind algebra")
+    if kmax < 0:
+        raise ValueError("homology needs kmax >= 0, not %d" % kmax)
     L._check_grading()
-    # D times the bracket, in ints: D is the lcm of its denominators
-    D = math.lcm(*(c.denominator for prod in L.table.values() for c in prod.values()))
-    table = {
-        pair: {k: c.numerator * (D // c.denominator) for k, c in prod.items()}
-        for pair, prod in L.table.items()
-    }
-    weight = L.sl2_weight or (0,) * L.dim
-    letters = {}
-    for i in range(L.dim):
-        lkey = (weight[i], None if L.degree is None else L.degree[i])
-        letters.setdefault(lkey, []).append(i)
-    # the empty word sits in degree zero, keyed ()
-    blocks = {(0, None if L.degree is None else ()): [()]}
-    diffs = {(): {}}
-    sizes = [{key: len(ws) for key, ws in blocks.items()}]
-    ranks = [{}]  # per k: {key: rank of d_k on that block}
+    n = L.dim
+    bracket = _int_bracket(L, kmax)
+    groups, gid = _unique_rows(_letter_keys(L, kmax))
+    par = np.array(L.parity, bool)
+    # start[x]: the first letter a word ending in x may take next, since
+    # an even letter never repeats
+    start = np.arange(n) + ~par
+    diff = lambda w: _differentiate(w, par, start, bracket, firsts)
+    # level 0: the empty word, in degree zero
+    words = np.zeros((1, 0), np.int32)
+    kid = np.zeros(1, np.int64)
+    keys = np.zeros((1, groups.shape[1]), np.int64)
+    firsts = [None]
+    # per level: key rows, block sizes, rank d_k and rank d_{k+1} per block
+    levels = [(keys, np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64))]
+    # D d_{k-1} as (indptr, cols, vals, ncols); d_0 = 0
+    below = (np.zeros(2, np.int64), np.zeros(0, np.int64), bracket[2][:0], 0)
     for k in range(1, kmax + 2):
-        keep = blocks if k == kmax + 1 else None
-        if k == 1:
-            level = {lkey: [(i,) for i in group] for lkey, group in letters.items()
-                     if keep is None or lkey in keep}
+        top = k == kmax + 1
+        sums = (keys[:, None, :] + groups[None, :, :]).reshape(-1, keys.shape[1])
+        if top:
+            # only the words keyed like a block of level kmax
+            pair = _key_index(keys, sums)
         else:
-            level = _extend_blocks(L, blocks, letters, keep)
-        level_diffs, level_ranks = {}, {}
-        for key, ws in level.items():
-            imgs = [_diff_word(L.parity, table, w) for w in ws]
-            for img in imgs:
-                acc = {}
-                for tw, c in img.items():
-                    add_scaled(acc, diffs[tw], c)
-                if acc:
-                    raise ValueError("differential does not square to zero; not Lie")
-            bound = len(blocks.get(key, ())) - ranks[k - 1].get(key, 0)
-            red = ExactRowReducer()
-            for img in imgs:
-                if red.rank >= bound:
-                    break
-                if img:
-                    red.add(img)
-            level_ranks[key] = red.rank
-            if k <= kmax:
-                level_diffs.update(zip(ws, imgs))
-        ranks.append(level_ranks)
-        if k <= kmax:
-            sizes.append({key: len(ws) for key, ws in level.items()})
-            blocks, diffs = level, level_diffs
+            new_keys, pair = _unique_rows(sums)
+        pair = pair.reshape(len(keys), len(groups))
+        # the children of word p are rows first[p] .. first[p + 1] - 1
+        first = np.zeros(len(words) + 1, np.int64)
+        first[1:] = np.cumsum(n - (start[words[:, -1]] if k > 1 else 0))
+        words, kid = _extend(words, kid, first, pair, gid, start)
+        if top:
+            under = np.arange(len(keys))
+        else:
+            # drop the keys no word has
+            used = np.flatnonzero(np.bincount(kid, minlength=len(new_keys)))
+            renumber = np.zeros(len(new_keys), np.int64)
+            renumber[used] = np.arange(len(used))
+            kid, new_keys = renumber[kid], new_keys[used]
+            firsts.append(first)
+            under = _key_index(keys, new_keys)
+        del first, pair, sums
+        _, prev_size, prev_rank, prev_out = levels[-1]
+        bound = np.where(under >= 0, prev_size[under] - prev_rank[under], 0).tolist()
+        rank, below = _rank_level(words, kid, bound, below, diff, keep=not top)
+        hit = under >= 0
+        prev_out[under[hit]] = rank[hit]
+        if top:
+            break
+        keys = new_keys
+        levels.append((keys, np.bincount(kid, minlength=len(keys)), rank,
+                       np.zeros(len(keys), np.int64)))
     dims, weight_dims, degree_dims = [], [], []
-    for k in range(kmax + 1):
-        total = 0
+    for k, (keys, size, rank, out) in enumerate(levels):
+        h = size - rank - out
+        if (h < 0).any():
+            raise RuntimeError("negative block dimension; rank bookkeeping bug")
         wdims, ddims = {}, {}
-        for key, n in sizes[k].items():
-            h = n - ranks[k].get(key, 0) - ranks[k + 1].get(key, 0)
-            if h < 0:
-                raise RuntimeError("negative block dimension; rank bookkeeping bug")
-            if not h:
+        for row, x in zip(keys.tolist(), h.tolist()):
+            if not x:
                 continue
-            total += h
-            wdims[key[0]] = wdims.get(key[0], 0) + h
-            if key[1] is not None:
-                ddims[key[1]] = ddims.get(key[1], 0) + h
-        dims.append(total)
+            wdims[row[0]] = wdims.get(row[0], 0) + x
+            # the empty word's degree is ()
+            deg = tuple(row[1:]) if k else ()
+            ddims[deg] = ddims.get(deg, 0) + x
+        dims.append(int(h.sum()))
         weight_dims.append(dict(sorted(wdims.items())))
         degree_dims.append(dict(sorted(ddims.items())))
     return HomologyResult(
         dims=tuple(dims),
-        chain_dims=tuple(sum(sizes[k].values()) for k in range(kmax + 1)),
+        chain_dims=tuple(int(size.sum()) for _, size, _, _ in levels),
         weight_dims=tuple(weight_dims) if L.sl2_weight else None,
         degree_dims=tuple(degree_dims) if L.degree is not None else None,
     )

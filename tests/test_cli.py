@@ -419,6 +419,30 @@ def test_cli_tag_names_a_missing_field(capsys, tmp_path, field):
     assert err == "error: structure constants lack the %s field\n" % field
 
 
+def test_cli_tag_refuses_a_negative_homology_degree(capsys, tmp_path):
+    # used to print "homology dims: []" and exit 0
+    from freejordan.tkk import truncated_free_jordan
+
+    path = tmp_path / "J.json"
+    path.write_text(json.dumps(truncated_free_jordan(2, 2).to_json()))
+    code, out, err = run_cli(capsys, "tag", "--input", str(path), "--homology", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "kmax" in err
+
+
+def test_cli_tag_missing_input_file_exits_two(capsys, tmp_path):
+    # the OSError class of the exit codes
+    path = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "tag", "--input", str(path), "--homology", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "absent.json" in err
+    assert "Traceback" not in err
+
+
 def test_cli_verify_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counterexample", "--json")
     assert code == 0

@@ -1,10 +1,13 @@
 """Derivations, the exterior-square quotient, tag, and homology."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -654,21 +657,127 @@ def test_block_homology_matches_full_enumeration(build, kmax):
     assert ce_homology(L, kmax) == _ref_ce_homology(L, kmax)
 
 
+@pytest.mark.parametrize(
+    "build, kmax",
+    [
+        (lambda: tag(_kaplansky_k3()), 3),
+        (lambda: tag(_matrix_superalgebra(1, 1)), 3),
+        (lambda: tag(_relabelled(truncated_free_jordan(2, 3), 1)), 2),
+    ],
+    ids=["kaplansky-k3", "matrix-1-1", "J23-relabelled"],
+)
+def test_differentials_match_the_fraction_reference(monkeypatch, build, kmax):
+    # ranks cannot see every sign: negating the terms of the pairs that are
+    # not both odd is conjugation by i^(number of odd letters)
+    L = build()
+    levels = [(np.zeros((1, 0), int), None)]
+    rank_level = tkk._rank_level
+
+    def spy(words, kid, bound, below, diff, keep):
+        rank, d = rank_level(words, kid, bound, below, diff, keep)
+        if keep:
+            levels.append((words, d))
+        return rank, d
+
+    monkeypatch.setattr(tkk, "_rank_level", spy)
+    ce_homology(L, kmax)
+    D = math.lcm(*(c.denominator for prod in L.table.values() for c in prod.values()))
+    assert len(levels) == kmax + 1
+    for k in range(1, kmax + 1):
+        (below, _), (words, (indptr, cols, vals, ncols)) = levels[k - 1], levels[k]
+        assert [tuple(w) for w in words.tolist()] == _ref_chain_words(L, k)
+        assert ncols == len(below)
+        for p, w in enumerate(words.tolist()):
+            got = {
+                tuple(below[c].tolist()): v
+                for c, v in zip(cols[indptr[p] : indptr[p + 1]].tolist(),
+                                vals[indptr[p] : indptr[p + 1]].tolist())
+            }
+            assert got == {tw: D * c for tw, c in _ref_diff(L, tuple(w)).items()}
+
+
 def test_homology_differentiates_only_the_kept_top_level(monkeypatch):
     # tag(J(3,3)) has 125 + 7,750 words up to length 2 and 317,750 of
-    # length 3; only 65,182 of those share a block key with a 2-word
-    calls = Counter()
-    diff_word = tkk._diff_word
+    # length 3 (its 125 letters are all even); only 65,182 of those share a
+    # block key with a 2-word
+    built, differentiated = Counter(), Counter()
+    extend, differentiate = tkk._extend, tkk._differentiate
 
-    def counted(par, table, word):
-        calls[len(word)] += 1
-        return diff_word(par, table, word)
+    def counted_extend(*args):
+        words, kid = extend(*args)
+        built[words.shape[1]] += len(words)
+        return words, kid
 
-    monkeypatch.setattr(tkk, "_diff_word", counted)
-    h = ce_homology(tag(truncated_free_jordan(3, 3)), 2)
+    def counted_differentiate(words, *args):
+        differentiated[words.shape[1]] += len(words)
+        return differentiate(words, *args)
+
+    monkeypatch.setattr(tkk, "_extend", counted_extend)
+    monkeypatch.setattr(tkk, "_differentiate", counted_differentiate)
+    L = tag(truncated_free_jordan(3, 3))
+    assert L.dim == 125 and not any(L.parity)
+    h = ce_homology(L, 2)
     assert h.chain_dims == (1, 125, 7750)
-    assert calls[1] == 125 and calls[2] == 7750
-    assert sum(calls.values()) < 80_000
+    assert built == differentiated == {1: 125, 2: 7750, 3: 65_182}
+    assert math.comb(125, 3) == 317_750
+
+
+def test_homology_memory_peak_on_the_three_generator_truncation():
+    # the word-by-word version peaked at 6.8 MB here, holding every image
+    # of level 2 as a dict and the kept top level as tuples
+    L = tag(truncated_free_jordan(3, 3))
+    tracemalloc.start()
+    try:
+        h = ce_homology(L, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.dims == (1, 9, 275)
+    assert peak < 6_000_000
+
+
+@pytest.mark.slow
+def test_heisenberg_homology_on_words_of_41_letters():
+    # tag of the odd line has 4 basis vectors and 3 odd ones; a base-4 code
+    # of a 41-letter word would pass 2^63
+    h = ce_homology(tag(truncated_free_jordan(1, 1, parities=(1,))), 40)
+    assert h.dims == tuple(2 * k + 1 for k in range(41))
+    assert h.chain_dims == tuple((k + 1) ** 2 for k in range(41))
+
+
+def test_homology_of_brackets_past_64_bits():
+    # [a, b] = 2^70 c is the Heisenberg algebra with c rescaled; an int64
+    # coefficient would wrap to 0 and give the abelian homology 1, 3, 3, 1
+    for scale in (1, 2**70, Fraction(1, 3**45)):
+        L = AlgebraFD("lie", ("a", "b", "c"),
+                      {(0, 1): {2: scale}, (1, 0): {2: -scale}})
+        assert ce_homology(L, 3).dims == (1, 2, 2, 1)
+
+
+def test_homology_refuses_a_negative_kmax():
+    with pytest.raises(ValueError, match="kmax"):
+        ce_homology(tag(scalar_jordan()), -1)
+
+
+def test_homology_refuses_degrees_of_different_lengths():
+    L = AlgebraFD("lie", ("a", "b"), {}, degree=[1, (1, 2)])
+    with pytest.raises(ValueError, match="different lengths"):
+        ce_homology(L, 1)
+
+
+def test_tag_takes_each_wedge_class_once(monkeypatch):
+    calls = Counter()
+    coords = tkk.BSpace.coords
+
+    def counted(self, i, j):
+        calls[i, j] += 1
+        return coords(self, i, j)
+
+    monkeypatch.setattr(tkk.BSpace, "coords", counted)
+    J = truncated_free_jordan(2, 3)
+    tag(J)
+    assert len(calls) == J.dim ** 2
+    assert set(calls.values()) == {1}
 
 
 def test_sl2_decompose_needs_weight_data():
