@@ -28,6 +28,11 @@ wedge u^u survives exactly when u is odd.  Chevalley-Eilenberg chains are
 the parity-aware exterior powers; each chain degree is finite dimensional
 even when the total complex is not.
 
+The structure checks are complete, not sampled: AlgebraFD.check tests
+super-Jacobi on every basis triple that can have a nonzero term, and
+inner_derivations tests every generator on every basis pair where the
+derivation rule can fail.
+
 ce_homology runs on integers: it scales the bracket once by D, the lcm of
 its denominators (1, 2 or 4 on the free truncations), which multiplies
 every differential d_k by D.  Ranks do not change under a nonzero scalar,
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,8 +72,9 @@ class AlgebraFD:
     integer per basis vector; products must add both (check() and
     ce_homology verify it).  kind is "jordan" (super-commutative) or "lie"
     (super-anticommutative with super-Jacobi); check() verifies the claimed
-    kind.  Basis indices outside 0..dim-1, and parity, degree or weight
-    lists of another length than dim, raise ValueError.
+    kind.  Basis indices outside 0..dim-1, parity, degree or weight lists
+    of another length than dim, parity bits other than 0 and 1, and degrees
+    or weights that are not integers raise ValueError.
     """
 
     def __init__(self, kind, labels, table, parity=None, degree=None, sl2_weight=None):
@@ -83,7 +88,14 @@ class AlgebraFD:
             raise ValueError(
                 "%d parity bits for %d basis vectors" % (len(self.parity), self.dim)
             )
+        for p in self.parity:
+            if not (isinstance(p, int) and p in (0, 1)):
+                raise ValueError("parity bit %r is not 0 or 1" % (p,))
         if degree is not None:
+            for d in degree:
+                ints = [d] if isinstance(d, int) else d
+                if not (isinstance(ints, (list, tuple)) and all(isinstance(x, int) for x in ints)):
+                    raise ValueError("degree %r is not an int or a list of ints" % (d,))
             degree = tuple(
                 (d,) if isinstance(d, int) else tuple(d) for d in degree
             )
@@ -97,6 +109,9 @@ class AlgebraFD:
             raise ValueError(
                 "%d sl2 weights for %d basis vectors" % (len(self.sl2_weight), self.dim)
             )
+        for w in self.sl2_weight or ():
+            if not isinstance(w, int):
+                raise ValueError("sl2_weight %r is not an int" % (w,))
         self.table = {}
         for (i, j), prod in table.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim
@@ -146,40 +161,36 @@ class AlgebraFD:
                             % (self.labels[i], self.labels[j], self.labels[k], want)
                         )
 
-    def check(self, jacobi: str = "full") -> None:
+    def check(self) -> None:
         """Verify the structure the kind claims; raises ValueError.
 
-        For the lie kind, jacobi="full" tests every basis triple and
-        "sample" tests 500 random triples drawn with seed 0 (for large
-        algebras).
+        For the lie kind, super-Jacobi holds on every basis triple: only the
+        triples {a, b, c} with (a, b) and (m, c) in the table, m in [a, b],
+        have a nonzero term, and those are summed in integers (_int_table).
         """
         self._check_grading()
         sign = lambda i, j: -1 if (self.parity[i] and self.parity[j]) else 1
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = self.product(i, j)
-                rhs = self.product(j, i)
-                s = sign(i, j) if self.kind == "jordan" else -sign(i, j)
-                if lhs != {k: s * c for k, c in rhs.items()}:
-                    raise ValueError(
-                        "products of %s, %s break the %s symmetry"
-                        % (self.labels[i], self.labels[j], self.kind)
-                    )
+        for (i, j), prod in self.table.items():
+            s = sign(i, j) if self.kind == "jordan" else -sign(i, j)
+            if self.product(j, i) != {k: s * c for k, c in prod.items()}:
+                raise ValueError(
+                    "products of %s, %s break the %s symmetry"
+                    % (self.labels[i], self.labels[j], self.kind)
+                )
         if self.kind != "lie":
             return
-        if jacobi == "full":
-            triples = itertools.combinations_with_replacement(range(self.dim), 3)
-        else:
-            rnd = random.Random(0)
-            triples = (
-                tuple(rnd.randrange(self.dim) for _ in range(3)) for _ in range(500)
-            )
-        for i, j, k in triples:
+        table = _int_table(self)
+        right = {}
+        for m, c in table:
+            right.setdefault(m, []).append(c)
+        triples = {tuple(sorted((a, b, c))) for (a, b), prod in table.items()
+                   for m in prod for c in right.get(m, ())}
+        for i, j, k in sorted(triples):
             acc = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 s = sign(a, c)
-                for m, cm in self.product(a, b).items():
-                    add_scaled(acc, self.product(m, c), s * cm)
+                for m, cm in table.get((a, b), {}).items():
+                    add_scaled(acc, table.get((m, c), {}), s * cm)
             if acc:
                 raise ValueError(
                     "Jacobi fails on basis triple (%s, %s, %s)"
@@ -323,18 +334,24 @@ class DerivationSpace:
 
 
 def _is_derivation(J: AlgebraFD, D: dict, p_d: int) -> bool:
-    """D(uv) = D(u)v + (-1)^(|D||u|) u D(v) on every basis pair u, v."""
-    for u in range(J.dim):
-        du = D.get(u, {})
-        sgn = -1 if (p_d and J.parity[u]) else 1
-        for v in range(J.dim):
-            lhs = {}
-            for k, c in J.product(u, v).items():
-                add_scaled(lhs, D.get(k, {}), c)
-            rhs = J.mult(du, {v: F1})
-            add_scaled(rhs, J.mult({u: F1}, D.get(v, {})), sgn)
-            if lhs != rhs:
-                return False
+    """D(uv) = D(u)v + (-1)^(|D||u|) u D(v) on every basis pair u, v; only
+    the pairs with a nonzero product uv, D(u)v or uD(v) can fail."""
+    cols = {}  # m: the columns x with m in D(x)
+    for x, col in D.items():
+        for m in col:
+            cols.setdefault(m, []).append(x)
+    pairs = set(J.table)
+    for u, v in J.table:
+        pairs.update((x, v) for x in cols.get(u, ()))
+        pairs.update((u, x) for x in cols.get(v, ()))
+    for u, v in pairs:
+        lhs = {}
+        for k, c in J.product(u, v).items():
+            add_scaled(lhs, D.get(k, {}), c)
+        rhs = J.mult(D.get(u, {}), {v: F1})
+        add_scaled(rhs, J.mult({u: F1}, D.get(v, {})), -1 if (p_d and J.parity[u]) else 1)
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -343,8 +360,7 @@ def inner_derivations(J: AlgebraFD) -> DerivationSpace:
 
     The Jordan axiom is probed through the operators [L_a, L_{a a}] for
     basis a, which must vanish; each generator is checked to be a
-    derivation: every generator when dim J <= 12, a seeded tenth of them
-    above.
+    derivation on every basis pair.
     """
     if J.kind != "jordan":
         raise ValueError("inner derivations ask for a jordan-kind algebra")
@@ -363,17 +379,14 @@ def inner_derivations(J: AlgebraFD) -> DerivationSpace:
     gens = []
     kept_pairs = []
     red = ExactRowReducer()
-    rnd = random.Random(7)
     for i, j in pairs:
         D = _d_ab(J, i, j)
         if not D:
             continue
-        p_d = (J.parity[i] + J.parity[j]) % 2
-        if J.dim <= 12 or rnd.random() < 0.1:
-            if not _is_derivation(J, D, p_d):
-                raise ValueError(
-                    "[L_%s, L_%s] is not a derivation" % (J.labels[i], J.labels[j])
-                )
+        if not _is_derivation(J, D, (J.parity[i] + J.parity[j]) % 2):
+            raise ValueError(
+                "[L_%s, L_%s] is not a derivation" % (J.labels[i], J.labels[j])
+            )
         gens.append(D)
         kept_pairs.append((i, j))
         red.add({(r, c): v for c, col in D.items() for r, v in col.items()})
@@ -498,11 +511,9 @@ _SL2_WEIGHT = (2, 0, -2)
 def tag(J: AlgebraFD) -> AlgebraFD:
     """The Lie (super)algebra sl2 (x) J  (+)  B(J).
 
-    The result's super-Jacobi identity is verified on every basis triple
-    when it has at most 40 basis vectors, and on a seeded sample of triples
-    otherwise; call check(jacobi="full") on a larger result to test every
-    triple.  A Jacobi failure raises, since the bracket formulas are a
-    theorem once J is Jordan.
+    The result is checked (AlgebraFD.check): its super-Jacobi identity
+    holds on every basis triple, or RuntimeError is raised, since the
+    bracket formulas are a theorem once J is Jordan.
     """
     if J.kind != "jordan":
         raise ValueError("tag asks for a jordan-kind algebra")
@@ -583,7 +594,7 @@ def tag(J: AlgebraFD) -> AlgebraFD:
     L = AlgebraFD("lie", labels, table, parity=parity, degree=degree,
                   sl2_weight=weight)
     try:
-        L.check(jacobi="full" if L.dim <= 40 else "sample")
+        L.check()
     except ValueError as err:
         raise RuntimeError("tag construction is inconsistent: %s" % err)
     return L
@@ -712,6 +723,13 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
 _SLICE = 1 << 13
 
 
+def _int_table(L: AlgebraFD) -> dict:
+    """D times the table as {(a, b): {k: int}}, D the lcm of its denominators."""
+    D = math.lcm(*(c.denominator for prod in L.table.values() for c in prod.values()))
+    return {ab: {k: c.numerator * (D // c.denominator) for k, c in prod.items()}
+            for ab, prod in L.table.items()}
+
+
 def _int_bracket(L: AlgebraFD, kmax: int) -> tuple:
     """D times the bracket, D the lcm of its denominators, as an int CSR
     table (indptr, target, coef): the terms of [x_a, x_b] are
@@ -722,14 +740,13 @@ def _int_bracket(L: AlgebraFD, kmax: int) -> tuple:
     D^2 d_k d_{k-1}, k <= kmax + 1, stays below 2^63, and holds Python
     ints otherwise, so no sum can wrap."""
     n = L.dim
-    D = math.lcm(*(c.denominator for prod in L.table.values() for c in prod.values()))
     count = np.zeros(n * n + 1, np.int64)
     target, coef = [], []
-    for (a, b), prod in sorted(L.table.items()):
+    for (a, b), prod in sorted(_int_table(L).items()):
         count[a * n + b + 1] = len(prod)
         for k, c in sorted(prod.items()):
             target.append(k)
-            coef.append(c.numerator * (D // c.denominator))
+            coef.append(c)
     # a word of length k has P = k(k-1)/2 pairs, so an entry of D d_k is
     # at most T P and a row of it has at most P w nonzeros, with T the
     # largest coefficient and w the most terms of one bracket
@@ -750,8 +767,6 @@ def _letter_keys(L: AlgebraFD, kmax: int) -> np.ndarray:
         if len({len(d) for d in L.degree}) > 1:
             raise ValueError("degree tuples of different lengths")
         rows = [(w,) + d for w, d in zip(weight, L.degree)]
-    if not all(isinstance(x, int) for row in rows for x in row):
-        raise ValueError("sl2 weights and degrees must be integers")
     big = max((abs(x) for row in rows for x in row), default=0)
     if big * (kmax + 1) >= 2**62:
         raise ValueError("grading entry %d is too large for 64-bit keys" % big)

