@@ -3,8 +3,8 @@
 
 Usage: export_tag_input.py <kind> <out.json>
 
-kinds: scalar, diag2, diag3, sym2, sym3, odd, free-g2-N (e.g. free-2-4),
-free-3-N, free-1-N
+kinds: scalar, diag2, diag3, sym2, sym3, odd, free-g-N for g = 1, 2, 3
+(e.g. free-2-4)
 """
 
 import json

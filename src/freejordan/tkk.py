@@ -73,8 +73,9 @@ class AlgebraFD:
     ce_homology verify it).  kind is "jordan" (super-commutative) or "lie"
     (super-anticommutative with super-Jacobi); check() verifies the claimed
     kind.  Basis indices outside 0..dim-1, parity, degree or weight lists
-    of another length than dim, parity bits other than 0 and 1, and degrees
-    or weights that are not integers raise ValueError.
+    of another length than dim (an empty list included), parity bits other
+    than 0 and 1, degrees or weights that are not integers, and degree
+    tuples of different lengths raise ValueError.
     """
 
     def __init__(self, kind, labels, table, parity=None, degree=None, sl2_weight=None):
@@ -83,7 +84,7 @@ class AlgebraFD:
         self.kind = kind
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.parity = tuple(parity) if parity else (0,) * self.dim
+        self.parity = tuple(parity) if parity is not None else (0,) * self.dim
         if len(self.parity) != self.dim:
             raise ValueError(
                 "%d parity bits for %d basis vectors" % (len(self.parity), self.dim)
@@ -103,8 +104,10 @@ class AlgebraFD:
                 raise ValueError(
                     "%d degrees for %d basis vectors" % (len(degree), self.dim)
                 )
+            if len({len(d) for d in degree}) > 1:
+                raise ValueError("degree tuples of different lengths")
         self.degree = degree
-        self.sl2_weight = tuple(sl2_weight) if sl2_weight else None
+        self.sl2_weight = tuple(sl2_weight) if sl2_weight is not None else None
         if self.sl2_weight is not None and len(self.sl2_weight) != self.dim:
             raise ValueError(
                 "%d sl2 weights for %d basis vectors" % (len(self.sl2_weight), self.dim)
@@ -164,9 +167,11 @@ class AlgebraFD:
     def check(self) -> None:
         """Verify the structure the kind claims; raises ValueError.
 
-        For the lie kind, super-Jacobi holds on every basis triple: only the
-        triples {a, b, c} with (a, b) and (m, c) in the table, m in [a, b],
-        have a nonzero term, and those are summed in integers (_int_table).
+        For the jordan kind, [L_a, L_{aa}] vanishes for every even basis
+        vector a, a probe of the Jordan identity.  For the lie kind,
+        super-Jacobi holds on every basis triple: only the triples
+        {a, b, c} with (a, b) and (m, c) in the table, m in [a, b], have a
+        nonzero term, and those are summed in integers (_int_table).
         """
         self._check_grading()
         sign = lambda i, j: -1 if (self.parity[i] and self.parity[j]) else 1
@@ -177,7 +182,18 @@ class AlgebraFD:
                     "products of %s, %s break the %s symmetry"
                     % (self.labels[i], self.labels[j], self.kind)
                 )
-        if self.kind != "lie":
+        if self.kind == "jordan":
+            for i in range(self.dim):
+                if self.parity[i]:
+                    continue  # odd a: a*a = 0 already forces nothing here
+                a, aa = {i: F1}, self.product(i, i)
+                for c in range(self.dim):
+                    e = {c: F1}
+                    if self.mult(a, self.mult(aa, e)) != self.mult(aa, self.mult(a, e)):
+                        raise ValueError(
+                            "[L_a, L_{aa}] != 0 for a = %s; not a Jordan algebra"
+                            % self.labels[i]
+                        )
             return
         table = _int_table(self)
         right = {}
@@ -358,22 +374,12 @@ def _is_derivation(J: AlgebraFD, D: dict, p_d: int) -> bool:
 def inner_derivations(J: AlgebraFD) -> DerivationSpace:
     """Span of the operators [L_a, L_b] over basis pairs of J.
 
-    The Jordan axiom is probed through the operators [L_a, L_{a a}] for
-    basis a, which must vanish; each generator is checked to be a
-    derivation on every basis pair.
+    J is checked first (AlgebraFD.check); each generator is checked to be
+    a derivation on every basis pair.
     """
     if J.kind != "jordan":
         raise ValueError("inner derivations ask for a jordan-kind algebra")
-    for i in range(J.dim):
-        if J.parity[i]:
-            continue  # odd a: a*a = 0 already forces nothing here
-        a, aa = {i: F1}, J.product(i, i)
-        for c in range(J.dim):
-            e = {c: F1}
-            if J.mult(a, J.mult(aa, e)) != J.mult(aa, J.mult(a, e)):
-                raise ValueError(
-                    "[L_a, L_{aa}] != 0 for a = %s; not a Jordan algebra" % J.labels[i]
-                )
+    J.check()
     pairs = [(i, j) for i in range(J.dim) for j in range(i, J.dim)
              if i < j or J.parity[i]]
     gens = []
@@ -600,15 +606,25 @@ def tag(J: AlgebraFD) -> AlgebraFD:
     return L
 
 
+# the highest truncation degree per number of even generators; raising
+# one needs its own measured run
+_MAX_DEGREE = {1: 8, 2: 8, 3: 5}
+
+
 def truncated_free_jordan(g: int, N: int, parities: tuple | None = None) -> AlgebraFD:
     """The free Jordan (super)algebra on g generators, cut at degree N.
 
     Supported signatures: one odd generator (the square-zero line); one,
-    two or three even generators.  Two even generators use the associative
-    realization on reversal-fixed elements; one and three use exact
-    multidegree components.  Degrees are stored as content tuples so the
-    grading survives into tag() and homology.
+    two or three even generators, up to the degree in _MAX_DEGREE, past
+    which InfeasibleError is raised.  Even generators are built from the
+    exact multidegree components: the basis is the quotient basis of each
+    content, labelled by its normal-monomial key ("12.1" is (x1 x2) x1),
+    and the products are straightened and reduced in their component.
+    Degrees are stored as content tuples so the grading survives into
+    tag() and homology.
     """
+    from .multidegree import _components, _Products
+
     if N < 1 or g < 1:
         raise ValueError("need g >= 1 generators and degree N >= 1")
     parities = tuple(parities) if parities is not None else (0,) * g
@@ -620,65 +636,9 @@ def truncated_free_jordan(g: int, N: int, parities: tuple | None = None) -> Alge
         )
     if any(parities):
         raise ValueError("unsupported signature: odd generators beyond one")
-    if g == 2:
-        return _truncated_two_gen(N)
-    if g in (1, 3):
-        return _truncated_multidegree(g, N)
-    raise ValueError("unsupported signature: %d generators" % g)
-
-
-def _truncated_two_gen(N: int) -> AlgebraFD:
-    from .twogen import _reverse_mask, mask_to_word, reversible_basis
-
-    if N > 8:
-        raise InfeasibleError(
-            "two-generator truncation at degree %d" % N,
-            estimate="%d basis vectors" % (2 ** N),
-        )
-    basis = []
-    for n in range(1, N + 1):
-        for w, rev in reversible_basis(n):
-            basis.append((n, w, rev))
-    index = {(n, w): t for t, (n, w, rev) in enumerate(basis)}
-    labels = tuple(
-        "<%s>" % "".join(str(x) for x in mask_to_word(w, n)) for n, w, rev in basis
-    )
-    degree = []
-    for n, w, rev in basis:
-        ones = bin(w).count("1")
-        degree.append((n - ones, ones))
-    half = Fraction(1, 2)
-    table = {}
-    for s, (n1, w1, r1) in enumerate(basis):
-        for t, (n2, w2, r2) in enumerate(basis):
-            n = n1 + n2
-            if n > N:
-                continue
-            # basis vectors are orbit sums w + rev, so expand with unit
-            # coefficients; the lone half is the symmetrized product
-            out = {}
-            for u in {w1, r1}:
-                for v in {w2, r2}:
-                    out[(u << n2) | v] = out.get((u << n2) | v, F0) + half
-                    out[(v << n1) | u] = out.get((v << n1) | u, F0) + half
-            entry = {}
-            for m in out:
-                rev = _reverse_mask(m, n)
-                if m > rev:
-                    continue
-                if out[m] != out.get(rev, F0):
-                    raise RuntimeError("product left the reversible subspace")
-                if out[m]:
-                    entry[index[(n, m)]] = out[m]
-            if entry:
-                table[(s, t)] = entry
-    return AlgebraFD("jordan", labels, table, degree=degree)
-
-
-def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
-    from .multidegree import _components, _Products
-
-    if (g, N) not in [(1, n) for n in range(1, 9)] and not (g == 3 and N <= 5):
+    if g not in _MAX_DEGREE:
+        raise ValueError("unsupported signature: %d generators" % g)
+    if N > _MAX_DEGREE[g]:
         raise InfeasibleError(
             "%d generators at degree %d" % (g, N),
             estimate="past the exact component bound",
@@ -707,9 +667,9 @@ def _truncated_multidegree(g: int, N: int) -> AlgebraFD:
     table = {}
     for s, (d1, m1) in enumerate(basis):
         for t, (d2, m2) in enumerate(basis):
+            if sum(d1) + sum(d2) > N:
+                break  # the basis runs in increasing total degree
             dsum = _deg_add(d1, d2)
-            if sum(dsum) > N:
-                continue
             shift, terms = products.mul(products.id(m1), products.id(m2))
             prod = {products.mons[i]: Fraction(c, 1 << shift) for i, c in terms}
             coords = comps[dsum].coords(prod)
@@ -764,8 +724,6 @@ def _letter_keys(L: AlgebraFD, kmax: int) -> np.ndarray:
     if L.degree is None:
         rows = [(w,) for w in weight]
     else:
-        if len({len(d) for d in L.degree}) > 1:
-            raise ValueError("degree tuples of different lengths")
         rows = [(w,) + d for w, d in zip(weight, L.degree)]
     big = max((abs(x) for row in rows for x in row), default=0)
     if big * (kmax + 1) >= 2**62:

@@ -42,18 +42,6 @@ from .linalg import RankAccumulator, certify, choose_primes
 from .partitions import character, dim_irrep
 
 
-def mask_to_word(mask: int, n: int) -> tuple:
-    return tuple(((mask >> (n - 1 - i)) & 1) + 1 for i in range(n))
-
-
-def _reverse_mask(mask: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (mask & 1)
-        mask >>= 1
-    return out
-
-
 def reversible_dim(n: int) -> int:
     """Dimension of the reversal-fixed space in degree n (closed formula)."""
     if n < 1:
@@ -76,21 +64,6 @@ def two_row_multiplicity(shape: tuple) -> int:
     n = sum(shape)
     w0 = (2,) * (n // 2) + (1,) * (n % 2)
     return (dim_irrep(shape) + character(shape, w0)) // 2
-
-
-def reversible_basis(n: int) -> tuple:
-    """Orbit representatives {w, reverse(w)} spanning the fixed space.
-
-    Returned as sorted bitmask pairs (w, rev) with w <= rev; palindromes
-    appear with the two entries equal.  The length must agree with
-    reversible_dim, which the tests check directly.
-    """
-    out = []
-    for mask in range(2 ** n):
-        rev = _reverse_mask(mask, n)
-        if mask <= rev:
-            out.append((mask, rev))
-    return tuple(out)
 
 
 def _totient(n: int) -> int:

@@ -412,10 +412,12 @@ def test_cli_tag_rejects_malformed_structure_constants(capsys, tmp_path, labels,
     ("sl2_weight", [None, 0]),
     ("parity", ["x", 0]),
     ("parity", [2, 0]),
-], ids=["degree-null", "sl2_weight-null", "parity-x", "parity-2"])
+    ("degree", [1, [1, 0]]),
+], ids=["degree-null", "sl2_weight-null", "parity-x", "parity-2", "degree-mixed"])
 def test_cli_tag_names_a_malformed_grading(capsys, tmp_path, field, value):
     # the first two used to end in a TypeError traceback, the parity bits
-    # in a message about the jordan symmetry
+    # in a message about the jordan symmetry; degrees of mixed lengths were
+    # accepted without --homology
     blob = {"kind": "jordan", "labels": ["a", "b"], "table": [[0, 0, [0, 1, 1]]],
             field: value}
     path = tmp_path / "bad.json"
@@ -436,7 +438,7 @@ def test_cli_tag_refuses_a_non_jordan_input(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Jacobi fails on basis triple (" in err
+    assert "not a Jordan algebra" in err
 
 
 @pytest.mark.parametrize("field", ["table", "labels"])

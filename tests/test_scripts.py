@@ -23,8 +23,8 @@ def _run(tmp_path, *argv):
 def test_scripts_run(tmp_path):
     _run(tmp_path, "scripts/inner_vs_b.py", "2", "4")
     _run(tmp_path, "scripts/counterexample_story.py")
-    # free-2-3 takes the two-generator path, free-3-3 and free-1-4 the
-    # multidegree components; H_0 = 1 and H_1 = 3g for free truncations
+    # one builder on g = 1, 2, 3 generators; H_0 = 1 and H_1 = 3g for free
+    # truncations
     for kind, g in (("free-2-3", 2), ("free-3-3", 3), ("free-1-4", 1)):
         path = tmp_path / ("%s.json" % kind)
         _run(tmp_path, "scripts/export_tag_input.py", kind, str(path))

@@ -42,9 +42,10 @@ def graded_dims(J):
 
 
 def test_two_generator_truncations_match_reversible_dims():
-    J = truncated_free_jordan(2, 6)
+    # the components against Cohn-Shirshov: the reversal-fixed words
+    J = truncated_free_jordan(2, 8)
     J.check()
-    assert graded_dims(J) == list(TWO_GEN_DIMS[:6])
+    assert graded_dims(J) == list(TWO_GEN_DIMS[:8])
 
 
 def test_degree_one_truncation_has_zero_product():
@@ -59,7 +60,7 @@ def test_three_generator_truncation_dims():
     assert graded_dims(J) == [3, 6, 18, 45]
 
 
-@pytest.mark.parametrize("g, N", [(3, 3), (1, 6)])
+@pytest.mark.parametrize("g, N", [(3, 3), (1, 6), (2, 5)])
 def test_truncated_structure_constants_match_straightening(g, N):
     # every product straightened in Fractions and reduced in its component
     J = truncated_free_jordan(g, N)
@@ -92,7 +93,8 @@ def test_truncated_structure_constants_keep_the_product_scale(monkeypatch):
     # same tables; a truncation that dropped the scale would double them
     from freejordan import multidegree
 
-    want = {gN: truncated_free_jordan(*gN).table for gN in [(3, 3), (3, 4), (1, 5)]}
+    want = {gN: truncated_free_jordan(*gN).table
+            for gN in [(3, 3), (3, 4), (1, 5), (2, 5)]}
     mul = multidegree._Products.mul
 
     def doubled(self, i, j):
@@ -127,6 +129,8 @@ def test_unsupported_signatures_refuse():
         truncated_free_jordan(2, 3, parities=(1, 0))
     with pytest.raises(InfeasibleError):
         truncated_free_jordan(2, 9)
+    with pytest.raises(InfeasibleError):
+        truncated_free_jordan(3, 6)
 
 
 # ---------------------------------------------------------------- derivations
@@ -533,10 +537,10 @@ def test_jacobi_check_agrees_with_the_full_triple_scan():
 
 
 def non_jordan_j25():
-    """J(2,5) with <1>.<12> doubled on both sides: graded and commutative,
-    but not Jordan."""
+    """J(2,5) with x1.(x1 x2) doubled on both sides: graded and
+    commutative, but not Jordan."""
     J = truncated_free_jordan(2, 5)
-    a, b = J.labels.index("<1>"), J.labels.index("<12>")
+    a, b = J.labels.index("1"), J.labels.index("12")
     table = dict(J.table)
     for key in ((a, b), (b, a)):
         table[key] = {k: 2 * c for k, c in table[key].items()}
@@ -544,9 +548,11 @@ def non_jordan_j25():
 
 
 def test_tag_refuses_a_non_jordan_input():
-    # a sample of the triples used to let it through
+    # a sample of the triples used to let it through; J's own check names
+    # the failure, and tag, which does not check J, still refuses it
     bad = non_jordan_j25()
-    bad.check()
+    with pytest.raises(ValueError, match="not a Jordan algebra"):
+        bad.check()
     with pytest.raises(RuntimeError, match="Jacobi fails on basis triple"):
         tag(bad)
 
@@ -635,6 +641,14 @@ def test_a_bracket_off_the_grading_is_refused(degree, weight, what):
 def test_sl2_weights_of_another_length_are_refused():
     with pytest.raises(ValueError, match="sl2 weights"):
         AlgebraFD("lie", ("a", "b"), {}, sl2_weight=[0])
+
+
+@pytest.mark.parametrize("field, what", [("parity", "parity bits"),
+                                         ("sl2_weight", "sl2 weights")])
+def test_an_empty_grading_list_is_refused(field, what):
+    # an empty list used to read as all even, or as no weights
+    with pytest.raises(ValueError, match="0 %s for 2 basis vectors" % what):
+        AlgebraFD("lie", ("a", "b"), {}, **{field: []})
 
 
 def test_heisenberg_homology_dims_and_weights():
@@ -922,9 +936,8 @@ def test_homology_refuses_a_negative_kmax():
 
 
 def test_homology_refuses_degrees_of_different_lengths():
-    L = AlgebraFD("lie", ("a", "b"), {}, degree=[1, (1, 2)])
     with pytest.raises(ValueError, match="different lengths"):
-        ce_homology(L, 1)
+        AlgebraFD("lie", ("a", "b"), {}, degree=[1, (1, 2)])
 
 
 def test_tag_takes_each_wedge_class_once(monkeypatch):

@@ -5,8 +5,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import freejordan.twogen as twogen_mod
 from freejordan.errors import InfeasibleError
@@ -18,28 +16,17 @@ from freejordan.twogen import (
     _FACTORS,
     _content_columns,
     _reversal_orbits,
-    _reverse_mask,
     _span_ranks,
     b_dim_two_gen,
     bracelet_count,
     jordan_span_dim,
-    mask_to_word,
     necklace_count,
-    reversible_basis,
     reversible_dim,
     two_gen_table,
     two_row_multiplicity,
 )
 
 LONG = os.environ.get("FREEJORDAN_LONG_TESTS") == "1"
-
-
-@given(st.lists(st.integers(1, 2), min_size=1, max_size=12))
-def test_mask_round_trip(w):
-    w = tuple(w)
-    mask = int("".join(str(x - 1) for x in w), 2)  # most significant first
-    assert mask_to_word(mask, len(w)) == w
-    assert mask_to_word(_reverse_mask(mask, len(w)), len(w)) == tuple(reversed(w))
 
 
 def test_reversible_dims_match_table():
@@ -71,23 +58,6 @@ def test_two_row_multiplicity_certifies_the_degree_19_gap():
         assert {s: k for s, k in gap.items() if k} == expected.get(n, {})
     with pytest.raises(ValueError, match="two rows"):
         two_row_multiplicity((2, 1, 1))
-
-
-def test_reversible_basis_counts_match_formula():
-    for n in range(1, 17):
-        assert len(reversible_basis(n)) == reversible_dim(n)
-
-
-def test_reversible_basis_is_orbit_representatives():
-    for n in range(1, 9):
-        seen = set()
-        for mask, rev in reversible_basis(n):
-            w = mask_to_word(mask, n)
-            assert mask_to_word(rev, n) == tuple(reversed(w))
-            assert mask <= rev
-            seen.add(mask)
-            seen.add(rev)
-        assert len(seen) == 2**n
 
 
 def _orbit_count(n, flips):
@@ -203,7 +173,9 @@ def test_orbit_columns_sum_to_reversible_dim():
             column, mirror, orbits = _content_columns(n, ones)
             words = np.flatnonzero(column >= 0)
             assert len(orbits) == _reversal_orbits(n, ones)
-            assert [_reverse_mask(int(w), n) for w in words] == words[mirror].tolist()
+            # a word's bits, most significant first, reversed as a string
+            reverse = [int(format(int(w), "0%db" % n)[::-1], 2) for w in words]
+            assert reverse == words[mirror].tolist()
             # swapping the two letters matches the content with its mirror
             total += (1 if 2 * ones == n else 2) * len(orbits)
         assert total == reversible_dim(n)
