@@ -22,11 +22,11 @@ by the type's slot symmetries, is known before any elimination from the
 character formula (1/|G|) sum_{g in G} chi^lambda(g), with G read off the
 type's tree; a kernel of any other width mod p is refused with
 ArithmeticError.  The multiplicity of the irreducible in the quotient is
-sum_ti c_ti - rank, certified modulo two primes; one walk of the
-generators ranks both, each prime's batch built band by band, added and
-dropped before the next prime's.  The fresh relation rows of
-consequences(n) are built on one multidegree product table, which owns
-their straightening state.
+sum_ti c_ti - rank, certified modulo two primes, or by one prime alone
+once its rank is full; one walk of the generators ranks both, each
+prime's batch built band by band, added and dropped before the next
+prime's.  The fresh relation rows of consequences(n) are built on one
+multidegree product table, which owns their straightening state.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .linalg import RankAccumulator, certify, choose_primes
-from .multidegree import _Products, _slot_splits
+from .multidegree import _appended, _Products, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
 from .trees import (
@@ -98,8 +98,7 @@ def consequences(n: int) -> tuple:
                 out.append(elt)
     for u in ((n,), (n - 1, n)):
         for lower in consequences(n - len(u)):
-            # the key stays canonical, as in multidegree._appended
-            out.append({(m[0], m[1] + (u,)): c for m, c in lower.items()})
+            out.append({_appended(m, u): c for m, c in lower.items()})
     return tuple(out)
 
 
@@ -267,44 +266,46 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     kernels = {p: _slot_kernels(shape, n, p, clifton)
                for p in choose_primes(width, n, primes)}
     accs = {p: RankAccumulator(width, p) for p in kernels}
-    # one walk of the generators for all primes, until every rank is full;
-    # each prime's batch is built, added and dropped before the next
+    # one walk of the generators for all primes, until some rank is full,
+    # which certify takes from one prime; each prime's batch is built,
+    # added and dropped before the next
     batches = _row_batches(shape, n, kernels, clifton)
-    while not all(acc.is_full for acc in accs.values()):
+    while not any(acc.is_full for acc in accs.values()):
         rows = next(batches, None)
         if rows is None:
             break
         for p, acc in accs.items():
-            if not acc.is_full:
-                acc.add(rows(p))
-    return width - certify({p: acc.rank for p, acc in accs.items()})
+            acc.add(rows(p))
+            if acc.is_full:
+                break
+    return width - certify({p: acc.rank for p, acc in accs.items()}, width)
 
 
 MAX_DEGREE = 9
 
 
-def check_degree(n: int, max_degree: int = MAX_DEGREE) -> None:
-    """Refuse degree n above max_degree before any relation or block is built.
+def check_degree(n: int) -> None:
+    """Refuse degree n above MAX_DEGREE before any relation or block is built.
 
     The estimate is the widest shape's f_n * d_lambda columns.  Above degree
     30 it uses the bound d_lambda <= sqrt(n!), so refusing stays instant.
     """
-    if n <= max_degree:
+    if n <= MAX_DEGREE:
         return
     f, g = 1, 1  # f_n = len(normal_types(n)) is a Fibonacci number
     for _ in range(n - 3):
         f, g = f + g, f
     d = max(map(dim_irrep, partitions(n))) if n <= 30 else isqrt(factorial(n))
     raise InfeasibleError(
-        "degree %d is above max_degree %d" % (n, max_degree),
+        "degree %d is above max_degree %d" % (n, MAX_DEGREE),
         estimate="%s%d x %d = %d columns in the widest shape"
         % ("" if n <= 30 else "at most ", f, d, f * d),
     )
 
 
-def jord_module(n: int, primes=None, max_degree=MAX_DEGREE, workers=4) -> SnModule:
+def jord_module(n: int, primes=None, workers=4) -> SnModule:
     """Full degree-n decomposition; distinct shapes run concurrently."""
-    check_degree(n, max_degree)
+    check_degree(n)
     shapes = partitions(n)
     consequences(n)  # build shared input once, outside the pool
     with ThreadPoolExecutor(max_workers=workers) as pool:

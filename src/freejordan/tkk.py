@@ -343,8 +343,6 @@ def _d_ab(J: AlgebraFD, i: int, j: int) -> dict:
 class DerivationSpace:
     """A spanning family of derivations of a fixed algebra."""
 
-    ambient_dim: int
-    pairs: tuple
     generators: tuple  # sparse columns {column: {row: coefficient}}
     rank: int
 
@@ -380,12 +378,9 @@ def inner_derivations(J: AlgebraFD) -> DerivationSpace:
     if J.kind != "jordan":
         raise ValueError("inner derivations ask for a jordan-kind algebra")
     J.check()
-    pairs = [(i, j) for i in range(J.dim) for j in range(i, J.dim)
-             if i < j or J.parity[i]]
     gens = []
-    kept_pairs = []
     red = ExactRowReducer()
-    for i, j in pairs:
+    for i, j in _wedge_pairs(J):
         D = _d_ab(J, i, j)
         if not D:
             continue
@@ -394,9 +389,25 @@ def inner_derivations(J: AlgebraFD) -> DerivationSpace:
                 "[L_%s, L_%s] is not a derivation" % (J.labels[i], J.labels[j])
             )
         gens.append(D)
-        kept_pairs.append((i, j))
         red.add({(r, c): v for c, col in D.items() for r, v in col.items()})
-    return DerivationSpace(J.dim, tuple(kept_pairs), tuple(gens), red.rank)
+    return DerivationSpace(tuple(gens), red.rank)
+
+
+def _wedge_pairs(J: AlgebraFD) -> list:
+    """The pairs (i, j) with i < j, and (i, i) for odd i, in order: the
+    basis of the parity-aware exterior square of J."""
+    return [(i, j) for i in range(J.dim) for j in range(i, J.dim)
+            if i < j or J.parity[i]]
+
+
+def _wedge(J: AlgebraFD, i: int, j: int) -> tuple:
+    """(pair, sign) with e_i ^ e_j = sign * e_pair, pair one of
+    _wedge_pairs(J); the sign is 0 when i = j is even."""
+    if i == j and not J.parity[i]:
+        return (i, j), 0
+    if i <= j:
+        return (i, j), 1
+    return (j, i), (1 if J.parity[i] and J.parity[j] else -1)
 
 
 class BSpace:
@@ -409,14 +420,9 @@ class BSpace:
 
     def __init__(self, J: AlgebraFD):
         self.J = J
-        pairs = [
-            (i, j)
-            for i in range(J.dim)
-            for j in range(i, J.dim)
-            if i < j or J.parity[i]
-        ]
+        self._table = _int_table(J)
         self._blocks = {}
-        for pair in pairs:
+        for pair in _wedge_pairs(J):
             block = self._blocks.setdefault(self._key(pair), ([], ExactRowReducer()))
             block[0].append(pair)
         # the Koszul-signed relation
@@ -448,20 +454,15 @@ class BSpace:
         return _deg_add(self.J.degree[pair[0]], self.J.degree[pair[1]])
 
     def _wedge_into(self, row: dict, a: int, b: int, c: int) -> None:
-        # row += (-1)^{|a||c|} ab ^ e_c
+        # row += (-1)^{|a||c|} ab ^ e_c, with ab times the lcm of the
+        # table's denominators: the rows span the same space in ints
         J = self.J
         scale = -1 if J.parity[a] and J.parity[c] else 1
-        for m, cm in J.product(a, b).items():
-            if m == c:
-                if not J.parity[m]:
-                    continue
-                pair, s = (m, c), 1
-            elif m < c:
-                pair, s = (m, c), 1
-            else:
-                s = 1 if (J.parity[m] and J.parity[c]) else -1
-                pair = (c, m)
-            v = row.get(pair, F0) + scale * s * cm
+        for m, cm in self._table.get((a, b), {}).items():
+            pair, s = _wedge(J, m, c)
+            if not s:
+                continue
+            v = row.get(pair, 0) + scale * s * cm
             if v:
                 row[pair] = v
             else:
@@ -478,16 +479,12 @@ class BSpace:
 
     def coords(self, i: int, j: int) -> dict:
         """The class of e_i ^ e_j in the representative basis."""
-        J = self.J
-        if i == j and not J.parity[i]:
+        pair, s = _wedge(self.J, i, j)
+        if not s:
             return {}
-        s = F1
-        if i > j:
-            s = F1 if (J.parity[i] and J.parity[j]) else -F1
-            i, j = j, i
-        red = self._blocks[self._key((i, j))][1]
+        red = self._blocks[self._key(pair)][1]
         # the remainder lives on non-pivot columns, which are the basis
-        return dict(sorted(red.reduce({(i, j): s}).items()))
+        return dict(sorted(red.reduce({pair: s}).items()))
 
 
 def b_space(J: AlgebraFD) -> BSpace:
@@ -717,40 +714,34 @@ def _int_bracket(L: AlgebraFD, kmax: int) -> tuple:
     return np.cumsum(count), np.array(target, np.int64), np.array(coef, dtype)
 
 
-def _letter_keys(L: AlgebraFD, kmax: int) -> np.ndarray:
-    """One row (sl2 weight, degree...) per basis vector; the key of a word
-    is the sum of its letters' rows."""
+def _letter_codes(L: AlgebraFD, kmax: int) -> tuple:
+    """Each basis vector's row (sl2 weight, degree...) packed into one
+    int64 code, as balanced base-R digits with the weight most significant
+    and R = 2 * max|entry| * (kmax + 1) + 1.  A word of at most kmax + 1
+    letters sums each digit to at most max|entry| * (kmax + 1) in size, so
+    its key, the sum of its letters' codes, holds every summed entry apart
+    and keys order as their rows do.  Returns (codes, R, width)."""
     weight = L.sl2_weight or (0,) * L.dim
     if L.degree is None:
         rows = [(w,) for w in weight]
     else:
         rows = [(w,) + d for w, d in zip(weight, L.degree)]
     big = max((abs(x) for row in rows for x in row), default=0)
-    if big * (kmax + 1) >= 2**62:
-        raise ValueError("grading entry %d is too large for 64-bit keys" % big)
     width = 1 + (len(L.degree[0]) if L.degree else 0)
-    return np.array(rows, np.int64).reshape(L.dim, width)
+    R = 2 * big * (kmax + 1) + 1
+    if R**width >= 2**62:
+        raise ValueError("grading entry %d is too large for 64-bit keys" % big)
+    codes = [sum(x * R ** (width - 1 - q) for q, x in enumerate(row)) for row in rows]
+    return np.array(codes, np.int64), R, width
 
 
-def _unique_rows(rows: np.ndarray) -> tuple:
-    """The distinct rows of an int array in lexicographic order, and the
-    index of each row among them."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    new = np.ones(len(rows), bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(1)
-    inv = np.empty(len(rows), np.int64)
-    inv[order] = np.cumsum(new) - 1
-    return rows[new], inv
-
-
-def _key_index(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """For each row of query, the index of the equal row of ref (whose rows
-    are distinct), or -1."""
-    inv = _unique_rows(np.concatenate([ref, query]))[1]
-    at = np.full(len(inv), -1, np.int64)
-    at[inv[: len(ref)]] = np.arange(len(ref))
-    return at[inv[len(ref) :]]
+def _digits(keys: np.ndarray, R: int, width: int) -> np.ndarray:
+    """The rows (weight, degree...) packed in keys by _letter_codes."""
+    out = np.empty((len(keys), width), np.int64)
+    for q in range(width - 1, -1, -1):
+        out[:, q] = (keys + R // 2) % R - R // 2
+        keys = (keys - out[:, q]) // R
+    return out
 
 
 def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -772,16 +763,25 @@ def _sum_by(code: np.ndarray, val: np.ndarray) -> tuple:
     return code[nz], val[nz]
 
 
-def _extend(words, kid, first, pair, gid, start) -> tuple:
+def _position(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """For each entry of query, its index in ref (sorted and distinct;
+    not empty unless query is), or -1 where ref does not hold it."""
+    at = np.searchsorted(ref, query).clip(max=len(ref) - 1)
+    return np.where(ref[at] == query, at, -1)
+
+
+def _extend(words, key, first, code, start, allowed=None) -> tuple:
     """The chain words one letter longer, in lexicographic order, with
-    their key ids, built in slices of about _SLICE words.
+    their keys, built in slices of about _SLICE words.
 
     Word p of words (sorted rows of one length) takes the letters from
     its first allowed one on, so its children are rows first[p] ..
-    first[p + 1] - 1 of the whole next level; a child whose key id
-    pair[kid[p], gid[letter]] is -1 is left out."""
+    first[p + 1] - 1 of the whole next level; a child's key is key[p]
+    plus its letter's code.  With allowed (sorted keys) given, a child
+    whose key is not in it is left out, and the kept children carry the
+    index of their key in allowed instead."""
     k = words.shape[1] + 1
-    out_words, out_kid = [np.zeros((0, k), np.int32)], [np.zeros(0, np.int64)]
+    out_words, out_key = [np.zeros((0, k), np.int32)], [np.zeros(0, np.int64)]
     lo = 0
     while lo < len(words):
         hi = max(int(np.searchsorted(first, first[lo] + _SLICE, "right")) - 1, lo + 1)
@@ -789,16 +789,18 @@ def _extend(words, kid, first, pair, gid, start) -> tuple:
         letter = np.arange(first[lo], first[hi]) - first[parent]
         if k > 1:
             letter += start[words[parent, -1]]
-        ckid = pair[kid[parent], gid[letter]]
-        keep = np.flatnonzero(ckid >= 0)
-        parent = parent[keep]
-        child = np.empty((len(keep), k), np.int32)
+        ckey = key[parent] + code[letter]
+        if allowed is not None:
+            ckey = _position(allowed, ckey)
+            keep = np.flatnonzero(ckey >= 0)
+            parent, letter, ckey = parent[keep], letter[keep], ckey[keep]
+        child = np.empty((len(parent), k), np.int32)
         child[:, :-1] = words[parent]
-        child[:, -1] = letter[keep]
+        child[:, -1] = letter
         out_words.append(child)
-        out_kid.append(ckid[keep])
+        out_key.append(ckey)
         lo = hi
-    return np.concatenate(out_words), np.concatenate(out_kid)
+    return np.concatenate(out_words), np.concatenate(out_key)
 
 
 def _word_index(words: np.ndarray, firsts: list, start: np.ndarray) -> np.ndarray:
@@ -958,10 +960,11 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
     Levels 0..kmax are built whole.  Level kmax + 1 serves only rank
     d_{kmax+1} on the blocks of level kmax, so only its words with a key
     that occurs at level kmax are built: every other top-level word maps
-    into an empty block, so its differential is 0.  A word's key is an id
-    into its level's table of distinct (weight, degree...) rows; the id of
-    a longer word comes from the id of its prefix and the key of the new
-    letter.
+    into an empty block, so its differential is 0.  A word's key is one
+    int64, the sum of its letters' codes, each letter's (weight,
+    degree...) row packed as balanced digits (_letter_codes), so a longer
+    word's key is its prefix's key plus the new letter's code; a grading
+    whose packed sums could reach 2^62 raises ValueError.
 
     The differentials are built from the bracket times D, the lcm of its
     denominators, so they are D d_k, with integer coefficients: that
@@ -983,7 +986,7 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
     L._check_grading()
     n = L.dim
     bracket = _int_bracket(L, kmax)
-    groups, gid = _unique_rows(_letter_keys(L, kmax))
+    code, R, width = _letter_codes(L, kmax)
     par = np.array(L.parity, bool)
     # start[x]: the first letter a word ending in x may take next, since
     # an even letter never repeats
@@ -991,37 +994,27 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
     diff = lambda w: _differentiate(w, par, start, bracket, firsts)
     # level 0: the empty word, in degree zero
     words = np.zeros((1, 0), np.int32)
-    kid = np.zeros(1, np.int64)
-    keys = np.zeros((1, groups.shape[1]), np.int64)
+    key = keys = np.zeros(1, np.int64)
     firsts = [None]
-    # per level: key rows, block sizes, rank d_k and rank d_{k+1} per block
+    # per level: sorted keys, block sizes, rank d_k and rank d_{k+1} per block
     levels = [(keys, np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64))]
     # D d_{k-1} as (indptr, cols, vals, ncols); d_0 = 0
     below = (np.zeros(2, np.int64), np.zeros(0, np.int64), bracket[2][:0], 0)
     for k in range(1, kmax + 2):
         top = k == kmax + 1
-        sums = (keys[:, None, :] + groups[None, :, :]).reshape(-1, keys.shape[1])
-        if top:
-            # only the words keyed like a block of level kmax
-            pair = _key_index(keys, sums)
-        else:
-            new_keys, pair = _unique_rows(sums)
-        pair = pair.reshape(len(keys), len(groups))
         # the children of word p are rows first[p] .. first[p + 1] - 1
         first = np.zeros(len(words) + 1, np.int64)
         first[1:] = np.cumsum(n - (start[words[:, -1]] if k > 1 else 0))
-        words, kid = _extend(words, kid, first, pair, gid, start)
         if top:
-            under = np.arange(len(keys))
+            # only the words keyed like a block of level kmax
+            words, kid = _extend(words, key, first, code, start, keys)
+            new_keys = keys
         else:
-            # drop the keys no word has
-            used = np.flatnonzero(np.bincount(kid, minlength=len(new_keys)))
-            renumber = np.zeros(len(new_keys), np.int64)
-            renumber[used] = np.arange(len(used))
-            kid, new_keys = renumber[kid], new_keys[used]
+            words, key = _extend(words, key, first, code, start)
+            new_keys, kid = np.unique(key, return_inverse=True)
             firsts.append(first)
-            under = _key_index(keys, new_keys)
-        del first, pair, sums
+        # each block's key among the blocks of level k - 1, or -1
+        under = _position(keys, new_keys)
         _, prev_size, prev_rank, prev_out = levels[-1]
         bound = np.where(under >= 0, prev_size[under] - prev_rank[under], 0).tolist()
         rank, below = _rank_level(words, kid, bound, below, diff, keep=not top)
@@ -1038,7 +1031,7 @@ def ce_homology(L: AlgebraFD, kmax: int) -> HomologyResult:
         if (h < 0).any():
             raise RuntimeError("negative block dimension; rank bookkeeping bug")
         wdims, ddims = {}, {}
-        for row, x in zip(keys.tolist(), h.tolist()):
+        for row, x in zip(_digits(keys, R, width).tolist(), h.tolist()):
             if not x:
                 continue
             wdims[row[0]] = wdims.get(row[0], 0) + x

@@ -282,7 +282,7 @@ def test_08_effectivity(chars20):
 
 @pytest.mark.slow
 @pytest.mark.skipif(not LONG, reason="set FREEJORDAN_LONG_TESTS=1 to run")
-def test_09_extended_long_running():
+def test_09_extended_long_running(monkeypatch):
     """Optional tier: the degree-10 module table, the one check of criterion 9
     that no other test makes ((9,1,1) and (8,2,1) are in
     test_published_degree_eleven_values, degrees 8 and 9 in
@@ -295,8 +295,9 @@ def test_09_extended_long_running():
     To run the rest of the slow tier without it, add
     --deselect tests/test_acceptance.py::test_09_extended_long_running.
     """
-    from freejordan.operad import jord_module
+    from freejordan import operad
 
-    module = jord_module(10, max_degree=10)
+    monkeypatch.setattr(operad, "MAX_DEGREE", 10)
+    module = operad.jord_module(10)
     assert module.mults == JORDAN_MODULE[10]
     assert module.dimension() == MULTILINEAR_DIMS[10]

@@ -277,12 +277,12 @@ def test_row_batches_give_every_prime_its_own_rows(pair):
                     assert (got[g * d : (g + 1) * d] == want).all()
 
 
-def test_multiplicity_pulls_no_batch_once_every_prime_is_full(monkeypatch):
+def test_multiplicity_pulls_no_batch_once_some_prime_is_full(monkeypatch):
     import freejordan.operad as operad_mod
 
     n = 5
     # one generator per (permutation, type): their rows span every column,
-    # so both ranks are full long before the last batch
+    # so a rank is full long before the last batch
     expansion = tuple(((ti, sigma, 1),) for sigma in permutations(range(n))
                       for ti in range(len(normal_types(n))))
     monkeypatch.setattr(operad_mod, "_sigma_expansion", lambda m: expansion)
@@ -294,21 +294,33 @@ def test_multiplicity_pulls_no_batch_once_every_prime_is_full(monkeypatch):
             yield rows
 
     monkeypatch.setattr(operad_mod, "_row_batches", counted)
+    shape = (3, 2)
+    # 6 columns; the slot kernels' accumulators have dim S^(3,2) = 5
+    width = sum(_projected_widths(shape, n))
+    full_after = []
+
+    class Counted(RankAccumulator):
+        def add(self, rows):
+            super().add(rows)
+            if self.ncols == width:
+                full_after.append(self.is_full)
+
+    monkeypatch.setattr(operad_mod, "RankAccumulator", Counted)
     # the sign representation has width 0: full before any batch
     assert multiplicity((1,) * n, n) == 0
     assert pulled == []
-    shape = (3, 2)
     assert multiplicity(shape, n) == 0
     assert 0 < len(pulled) < len(expansion) / 24
-    width = sum(_projected_widths(shape, n))
+    # no prime takes a batch once some prime is full
+    assert full_after.index(True) == len(full_after) - 1
     primes = blas_primes(width)
     accs = {p: RankAccumulator(width, p) for p in primes}
     for rows in pulled:
-        # every batch pulled found some prime short of full rank
-        assert not all(acc.is_full for acc in accs.values())
+        # every batch pulled found every prime short of full rank
+        assert not any(acc.is_full for acc in accs.values())
         for p, acc in accs.items():
             acc.add(rows(p))
-    assert all(acc.is_full for acc in accs.values())
+    assert any(acc.is_full for acc in accs.values())
 
 
 def test_projected_widths_spot_values():

@@ -809,6 +809,15 @@ def _stripped(L):
     return AlgebraFD("lie", L.labels, L.table, parity=L.parity)
 
 
+def _regraded(L, matrix):
+    """L with each degree d replaced by matrix @ d: a linear map keeps the
+    bracket additive in degree."""
+    degree = [tuple(sum(m * x for m, x in zip(row, d)) for row in matrix)
+              for d in L.degree]
+    return AlgebraFD(L.kind, L.labels, L.table, parity=L.parity,
+                     degree=degree, sl2_weight=L.sl2_weight)
+
+
 @pytest.mark.parametrize(
     "build, kmax",
     [
@@ -824,9 +833,12 @@ def _stripped(L):
         (lambda: tag(_relabelled(truncated_free_jordan(2, 3), 1)), 2),
         # odd brackets that move past letters of both parities
         (lambda: tag(_kaplansky_k3()), 3),
+        # three degree parts, negative ones among them
+        (lambda: _regraded(tag(truncated_free_jordan(2, 3)),
+                           ((1, -1), (-2, 3), (0, -1))), 2),
     ],
     ids=["sl2", "heisenberg", "abelian", "J23", "J24", "J22", "J22-stripped",
-         "J16", "J23-relabelled", "kaplansky-k3"],
+         "J16", "J23-relabelled", "kaplansky-k3", "J23-regraded"],
 )
 def test_block_homology_matches_full_enumeration(build, kmax):
     L = build()
@@ -880,9 +892,9 @@ def test_homology_differentiates_only_the_kept_top_level(monkeypatch):
     extend, differentiate = tkk._extend, tkk._differentiate
 
     def counted_extend(*args):
-        words, kid = extend(*args)
+        words, key = extend(*args)
         built[words.shape[1]] += len(words)
-        return words, kid
+        return words, key
 
     def counted_differentiate(words, *args):
         differentiated[words.shape[1]] += len(words)
@@ -928,6 +940,21 @@ def test_homology_of_brackets_past_64_bits():
         L = AlgebraFD("lie", ("a", "b", "c"),
                       {(0, 1): {2: scale}, (1, 0): {2: -scale}})
         assert ce_homology(L, 3).dims == (1, 2, 2, 1)
+
+
+@pytest.mark.parametrize("big, fits", [(2**29 - 1, True), (2**29, False)])
+def test_homology_keys_fit_64_bits(big, fits):
+    # at kmax 1 a key sums at most two letters, so its digits are balanced
+    # base R = 2 * big * 2 + 1, and (weight, degree) needs R^2 < 2^62
+    L = AlgebraFD("lie", ("a", "b"), {}, degree=[big, -big], sl2_weight=[2, -2])
+    if not fits:
+        with pytest.raises(ValueError, match="grading entry %d is too large" % big):
+            ce_homology(L, 1)
+        return
+    h = ce_homology(L, 1)
+    assert h.dims == (1, 2)
+    assert h.weight_dims == ({0: 1}, {-2: 1, 2: 1})
+    assert h.degree_dims == ({(): 1}, {(-big,): 1, (big,): 1})
 
 
 def test_homology_refuses_a_negative_kmax():
