@@ -18,10 +18,13 @@ float. There are two elimination engines and one oracle:
 add_scaled is the one sparse axpy, dst += c * src on dict vectors.
 
 All modular elimination is one kernel, _eliminate, C <- C - A @ B mod p:
-one float64 matmul where that is exact, a loop over the columns of A
-where it is not.  The batch echelon _rref recurses on halves and does
-every update between rows through it (the shape of FFLAS-FFPACK's PLUQ,
-Dumas-Giorgi-Pernet 2008).
+one float64 matmul where that is exact and A has more than one column, a
+loop of int64 updates over the columns of A otherwise.  The batch echelon
+_rref recurses on halves down to leaves of at most 32 nonzero rows, which
+it reduces by Gauss-Jordan one pivot at a time, and does every update
+between rows through _eliminate (the shape of FFLAS-FFPACK's PLUQ,
+Dumas-Giorgi-Pernet 2008, whose recursion also switches to iterative
+elimination below a threshold).
 
 Relation matrices reach RankAccumulator through add: in operad, one
 accumulator per prime takes each batch of a shape's rows until its rank
@@ -39,7 +42,10 @@ argument (all intermediate values stay under 2**53), never an
 approximation.
 
 Thread-safety: all functions are pure; RankAccumulator instances are not
-shared between threads.
+shared between threads.  The float64 matmuls run on one BLAS thread:
+importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, because a second OpenBLAS thread mostly spins on these small
+products, costing CPU time for little or no wall time.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ import numpy as np
 from .errors import UnluckyPrimeError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# _rref reduces blocks of at most this many nonzero rows by Gauss-Jordan
+_LEAF_ROWS = 32
 
 
 def is_prime(n: int) -> bool:
@@ -179,11 +188,13 @@ def _eliminate(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarra
     """C <- C - A @ B mod p, in place; returns C.
 
     Entries of all three are residues in [0, p).  The loop path needs A
-    apart from C (a copy, never a view of it).
+    apart from C (a copy, never a view of it).  A single column of A takes
+    the loop path: one masked int64 update is cheaper there than the
+    float64 round trip.
     """
     if not A.shape[1]:
         return C
-    if _blas_ok(p, A.shape[1]):
+    if A.shape[1] > 1 and _blas_ok(p, A.shape[1]):
         # exact: dot products are integers below inner*(p-1)^2 < 2**53
         prod = A.astype(np.float64) @ B.astype(np.float64)
         np.rint(prod, out=prod)
@@ -202,13 +213,28 @@ def _eliminate(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarra
 
 def _rref(block: np.ndarray, p: int):
     """(rows, pivots): the reduced echelon form of `block` over F_p, up to
-    row order, rows[k] with its leading 1 at pivots[k]."""
+    row order, rows[k] with its leading 1 at pivots[k].
+
+    The pivots come in the order in which the rows of `block` enlarge the
+    span: pivots[k] leads the remainder of the k-th such row modulo the
+    rows before it.  The halving recursion and its leaves both keep this
+    order, so the result does not depend on where the leaves start."""
     block = block[block.any(axis=1)]
-    if len(block) <= 1:
-        if not len(block):
-            return block, []
-        c = int(np.flatnonzero(block[0])[0])
-        return block * pow(int(block[0, c]), -1, p) % p, [c]
+    if len(block) <= _LEAF_ROWS:
+        # Gauss-Jordan, one pivot at a time in row order (block is a copy)
+        pivots, kept = [], []
+        for r in range(len(block)):
+            nz = np.flatnonzero(block[r])
+            if not len(nz):
+                continue
+            c = int(nz[0])
+            block[r] = block[r] * pow(int(block[r, c]), -1, p) % p
+            col = block[:, c : c + 1].copy()
+            col[r] = 0
+            _eliminate(block, col, block[r : r + 1], p)
+            pivots.append(c)
+            kept.append(r)
+        return block[kept], pivots
     h = len(block) // 2
     top, tpiv = _rref(block[:h], p)
     bottom = block[h:]

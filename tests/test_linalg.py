@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +14,9 @@ from freejordan.errors import UnluckyPrimeError
 from freejordan.linalg import (
     ExactRowReducer,
     RankAccumulator,
+    _LEAF_ROWS,
     _blas_ok,
+    _eliminate,
     _rref,
     bareiss_rank,
     blas_primes,
@@ -265,6 +271,111 @@ def test_accumulator_on_wide_matrices_matches_one_echelon(data, which):
     assert acc.add(rng.integers(0, p, (ncols, ncols))) == ncols and acc.is_full
     assert sorted(acc.basis().tolist(), reverse=True) == np.eye(ncols, dtype=int).tolist()
     assert not acc.reduce(probes).any()
+
+
+def _ref_rref(block, p):
+    # the single-row recursion that _rref ran before its Gauss-Jordan leaves
+    block = block[block.any(axis=1)]
+    if len(block) <= 1:
+        if not len(block):
+            return block, []
+        c = int(np.flatnonzero(block[0])[0])
+        return block * pow(int(block[0, c]), -1, p) % p, [c]
+    h = len(block) // 2
+    top, tpiv = _ref_rref(block[:h], p)
+    bottom = block[h:]
+    bottom, bpiv = _ref_rref(_eliminate(bottom, bottom[:, tpiv], top, p), p)
+    _eliminate(top, top[:, bpiv], bottom, p)
+    return np.concatenate([top, bottom]), tpiv + bpiv
+
+
+def _deficient_block(rng, nrows, ncols, p):
+    # nrows nonzero rows of rank about nrows / 2, some of them (multiples
+    # of) earlier ones, with zero rows between them; sparse combinations of
+    # rows with scattered leading columns, so that later rows often lead
+    # further left than earlier ones and pivots come out of column order
+    rank = max(1, min(nrows // 2, ncols - 3))
+    left = rng.integers(-5, 6, (nrows, rank)) * (rng.random((nrows, rank)) < 0.3)
+    left[~left.any(axis=1), 0] = 1
+    right = rng.integers(1, p, (rank, ncols)) * (rng.random((rank, ncols)) < 0.8)
+    right[np.arange(ncols) < rng.integers(2, ncols - 1, (rank, 1))] = 0
+    right[np.arange(rank), np.argmax(right != 0, axis=1)] = 1
+    right[~right.any(axis=1), -1] = 1
+    m = left @ right % p
+    for i in range(1, nrows, 5):
+        m[i] = m[rng.integers(0, i)] * rng.integers(1, p) % p
+    m = m[m.any(axis=1)]
+    assert len(m) == nrows
+    zeros = np.zeros((max(1, nrows // 8), ncols), dtype=np.int64)
+    at = rng.integers(0, nrows + 1, len(zeros))
+    return np.insert(m, at, zeros, axis=0)
+
+
+@pytest.mark.parametrize("nrows", [1, 31, 32, 33, 64, 65, 97])
+@pytest.mark.parametrize("ncols", [24, 80])
+@pytest.mark.parametrize("which", [0, 1])
+def test_rref_leaves_keep_the_single_row_recursion(nrows, ncols, which):
+    assert _LEAF_ROWS == 32
+    p = (blas_primes(ncols)[0], P31[0])[which]
+    rng = np.random.default_rng(1000 * nrows + ncols)
+    block = _deficient_block(rng, nrows, ncols, p)
+    rows, piv = _rref(block.copy(), p)
+    ref_rows, ref_piv = _ref_rref(block.copy(), p)
+    assert piv == ref_piv
+    assert rows.tolist() == ref_rows.tolist()
+    assert rows.shape == (len(piv), ncols) and 0 < len(piv) < nrows + (nrows == 1)
+    assert (rows[:, piv] == np.eye(len(piv), dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_eliminate_one_column_matches_python_ints(which):
+    p = (blas_primes(50)[0], P31[0])[which]
+    rng = np.random.default_rng(which)
+    C = rng.integers(p - 50, p, (40, 50))
+    A = rng.integers(p - 50, p, (40, 1)) * (rng.random((40, 1)) < 0.7)
+    B = rng.integers(p - 50, p, (1, 50))
+    want = [
+        [(C[i, j].item() - A[i, 0].item() * B[0, j].item()) % p for j in range(50)]
+        for i in range(40)
+    ]
+    assert _eliminate(C, A, B, p).tolist() == want
+
+
+_THREADS_PROBE = """
+import ctypes, glob, json, os
+import freejordan.linalg
+import numpy as np
+
+threads = None
+libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libdir, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, sym, None)
+        if fn is not None and threads is None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            threads = fn()
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_sets_one_blas_thread_unless_preset(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = json.loads(proc.stdout)
+    assert value == (preset or "1")
+    # numpy's OpenBLAS reports its thread count where the symbol exists
+    if preset is None and threads is not None:
+        assert threads == 1
 
 
 def _part(ncols, rows, p=7):
