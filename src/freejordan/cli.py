@@ -138,7 +138,7 @@ def cmd_operad(args) -> int:
         raise ValueError("degree must be positive")
     check_degree(n)
     # checked before any relation is built; defaults depend on the shape
-    primes = choose_primes(0, n, [args.prime]) if args.prime else None
+    primes = choose_primes(0, n, [args.prime]) if args.prime is not None else None
     shapes = [_parse_partition(args.shape)] if args.shape else list(partitions(n))
     for shape in shapes:
         if sum(shape) != n or any(

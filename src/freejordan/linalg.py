@@ -26,14 +26,14 @@ between rows through _eliminate (the shape of FFLAS-FFPACK's PLUQ,
 Dumas-Giorgi-Pernet 2008, whose recursion also switches to iterative
 elimination below a threshold).
 
-Relation matrices reach RankAccumulator through add: in operad, one
-accumulator per prime takes each batch of a shape's rows until its rank
-is full; where a span is the direct sum of smaller ones plus fresh rows,
-through RankAccumulator.direct_sum and add; or, for the two-generator
-span in twogen, degree by degree through add of the products of the
-lower degrees' echelon bases.  A modular rank is reported only through
-certify, which compares the ranks of one matrix over several primes, or
-takes a full rank (the column count) from one prime.
+Relation matrices reach RankAccumulator through add, seeded by
+RankAccumulator.direct_sum where a span is the direct sum of smaller
+ones plus fresh rows.  Every certified rank follows one walk rule,
+certified_ranks: ranks_mod(p) ranks the caller's matrices over F_p, one
+prime at a time; primes[0] is walked first, and the other primes only if
+some matrix falls short of its column count there, since a full rank
+mod p is the rank over Q.  certify then compares each matrix's ranks
+over the primes walked.
 Primes follow one rule, choose_primes: explicit ones
 must be primes p with n < p < 2**31 in degree n; the default is
 blas_primes(width), the largest primes for which the kernel on that many
@@ -182,6 +182,19 @@ def certify(ranks: dict, ncols: int | None = None) -> int:
     if len(values) > 1:
         raise UnluckyPrimeError(ranks)
     return values.pop()
+
+
+def certified_ranks(primes, ranks_mod, ncols) -> list:
+    """The ranks over Q of matrices of ncols[k] columns each, from their
+    ranks over F_p, the list ranks_mod(p), by the module's walk rule."""
+    if not primes:
+        raise ValueError("no primes given: a rank needs at least one prime")
+    first, *rest = primes
+    walked = {first: ranks_mod(first)}
+    if any(r < c for r, c in zip(walked[first], ncols)):
+        walked.update((p, ranks_mod(p)) for p in rest)
+    return [certify({p: ranks[k] for p, ranks in walked.items()}, c)
+            for k, c in enumerate(ncols)]
 
 
 def _eliminate(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -64,9 +64,10 @@ table's straightener returns it, and a row's six terms are added in int
 arithmetic, shifting the running sum left when a term brings a larger s.
 Each row is then scaled, where it is built, by the least power of two that
 makes it integral, which moves neither its span over Q nor its rank modulo
-an odd prime.  Dimensions come from certified modular ranks; the exact
-Component view keeps a rational echelon form instead, so products can be
-expressed in an explicit quotient basis.
+an odd prime.  Dimensions come from modular ranks, certified by the walk
+rule of `linalg.certified_ranks`; the exact Component view keeps a
+rational echelon form instead, so products can be expressed in an
+explicit quotient basis.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import ExactRowReducer, RankAccumulator, certify, choose_primes
+from .linalg import ExactRowReducer, RankAccumulator, certified_ranks, choose_primes
 from .trees import (
     common_twos,
     monomial_key,
@@ -305,17 +306,22 @@ def _span_estimate(delta: tuple) -> int:
     return len(normal_types(n)) * mult
 
 
-def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
+# the most generators a content may use
+MAX_PARTS = 3
+
+
+def multidegree_dim(delta, primes=None) -> int:
     """Dimension of the content-delta component of the free Jordan algebra.
 
-    Refuses total degree above 11, and contents whose span estimate
-    exceeds _MAX_SPAN, before any monomial is built.
+    Refuses contents on more than MAX_PARTS generators, total degree above
+    11, and contents whose span estimate exceeds _MAX_SPAN, before any
+    monomial is built.
     """
     delta = _check_content(delta)
     used = sum(1 for x in delta if x)
-    if used > max_parts:
+    if used > MAX_PARTS:
         raise ValueError(
-            "%d generators in use; at most %d are supported" % (used, max_parts)
+            "%d generators in use; at most %d are supported" % (used, MAX_PARTS)
         )
     n = sum(delta)
     span = _span_estimate(delta)
@@ -333,11 +339,12 @@ def multidegree_dim(delta, primes=None, max_parts: int = 3) -> int:
     primes = choose_primes(len(basis), n, primes)
     if n < 4:
         return len(basis)
-    return len(basis) - certify(_seeded_ranks(delta, primes))
+    return len(basis) - certified_ranks(primes, _seeded_ranks(delta), [len(basis)])[0]
 
 
-def _seeded_ranks(delta: tuple, primes) -> dict:
-    """{p: rank over F_p} of the relations of content delta.
+def _seeded_ranks(delta: tuple):
+    """ranks_mod(p), [rank over F_p] of the relations of content delta;
+    every content's fresh rows are built here, once for every prime.
 
     Each content reached from delta through _lower_contents starts from
     the direct sum of its lower contents' echelon bases, relabelled by
@@ -365,9 +372,9 @@ def _seeded_ranks(delta: tuple, primes) -> dict:
         ]
         built[d] = len(span), rows, lower
     del table  # its straightening memo is not needed for the ranks
-    ranks = {}
-    # one prime at a time: its accumulators are dropped before the next
-    for p in primes:
+
+    def ranks_mod(p):
+        # one prime's accumulators, dropped before the next prime's
         accs = {}
         for d in contents:
             width, rows, lower = built[d]
@@ -382,8 +389,9 @@ def _seeded_ranks(delta: tuple, primes) -> dict:
                 for k, (cols, vals) in enumerate(chunk):
                     batch[k, cols] = vals
                 acc.add(batch)
-        ranks[p] = accs[delta].rank
-    return ranks
+        return [accs[delta].rank]
+
+    return ranks_mod
 
 
 class Component:

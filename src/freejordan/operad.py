@@ -22,10 +22,12 @@ by the type's slot symmetries, is known before any elimination from the
 character formula (1/|G|) sum_{g in G} chi^lambda(g), with G read off the
 type's tree; a kernel of any other width mod p is refused with
 ArithmeticError.  The multiplicity of the irreducible in the quotient is
-sum_ti c_ti - rank, certified modulo two primes, or by one prime alone
-once its rank is full; one walk of the generators ranks both, each
-prime's batch built band by band, added and dropped before the next
-prime's.  The fresh relation rows of consequences(n) are built on one
+sum_ti c_ti - rank, with the rank certified over the primes by the walk
+rule of `linalg.certified_ranks`: each prime walked takes its own slot
+kernels and one accumulator, and the generators' batches, built band by
+band for that prime, until its rank is full.  The shape's Clifton
+matrices are memoised for the whole call, so every prime's walk shares
+them.  The fresh relation rows of consequences(n) are built on one
 multidegree product table, which owns their straightening state.
 """
 
@@ -40,7 +42,7 @@ from math import factorial, isqrt
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import RankAccumulator, certify, choose_primes
+from .linalg import RankAccumulator, certified_ranks, choose_primes
 from .multidegree import _appended, _Products, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
@@ -225,35 +227,27 @@ def _slot_kernels(shape: tuple, n: int, p: int, clifton) -> list:
     return out
 
 
-def _row_batches(shape: tuple, n: int, kernels: dict, clifton):
-    """The generator rows on the slot-symmetry quotient, for every prime p
-    of kernels {p: [Q_ti]}: for each generator, d rows whose band of type
-    ti is (sum of c * A(sigma)^T over its terms of that type) @ Q_ti,p.
-    Each batch of 24 generators is yielded as rows(p), which builds prime
-    p's rows when called, one integer band at a time: a caller holds one
-    prime's batch and one band, where a chunk's bands held for every
-    prime would outweigh a second batch."""
+def _row_batches(shape: tuple, n: int, kernels: list, clifton, p: int):
+    """The generator rows on the slot-symmetry quotient, for the prime p
+    of kernels [Q_ti]: for each generator, d rows whose band of type ti
+    is (sum of c * A(sigma)^T over its terms of that type) @ Q_ti.  Each
+    batch of 24 generators is built one integer band at a time."""
     d = dim_irrep(shape)
     offsets = np.cumsum([0, *_projected_widths(shape, n)])
-    top = max(kernels)
     gens = iter(_sigma_expansion(n))
     while chunk := list(islice(gens, 24)):
-        # the chunk is bound now: the loop rebinds it
-        def rows(p, chunk=chunk):
-            batch = np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
-            for ti in {ti for terms in chunk for ti, _, _ in terms}:
-                band = np.zeros((len(chunk) * d, d), dtype=np.int64)
-                for k, terms in enumerate(chunk):
-                    for tk, sigma, c in terms:
-                        if tk == ti:
-                            band[k * d : (k + 1) * d] += c * clifton(sigma).T.astype(np.int64)
-                # signed small integers times residues: exact in int64
-                if int(np.abs(band).sum(axis=1).max()) * (top - 1) >= 2**63:
-                    raise OverflowError("band sums too large for int64 products mod %d" % top)
-                batch[:, offsets[ti] : offsets[ti + 1]] = band @ kernels[p][ti]
-            return batch
-
-        yield rows
+        batch = np.zeros((len(chunk) * d, offsets[-1]), dtype=np.int64)
+        for ti in {ti for terms in chunk for ti, _, _ in terms}:
+            band = np.zeros((len(chunk) * d, d), dtype=np.int64)
+            for k, terms in enumerate(chunk):
+                for tk, sigma, c in terms:
+                    if tk == ti:
+                        band[k * d : (k + 1) * d] += c * clifton(sigma).T.astype(np.int64)
+            # signed small integers times residues: exact in int64
+            if int(np.abs(band).sum(axis=1).max()) * (p - 1) >= 2**63:
+                raise OverflowError("band sums too large for int64 products mod %d" % p)
+            batch[:, offsets[ti] : offsets[ti + 1]] = band @ kernels[ti]
+        yield batch
 
 
 def multiplicity(shape: tuple, n: int, primes=None) -> int:
@@ -261,24 +255,18 @@ def multiplicity(shape: tuple, n: int, primes=None) -> int:
     if sum(shape) != n:
         raise ValueError("shape %s is not a partition of %d" % (shape, n))
     width = sum(_projected_widths(shape, n))
-    # the shape's Clifton matrices, for the kernels and every prime's rows
+    # the shape's Clifton matrices, for every prime's kernels and rows
     clifton = cache(partial(clifton_matrix, shape))
-    kernels = {p: _slot_kernels(shape, n, p, clifton)
-               for p in choose_primes(width, n, primes)}
-    accs = {p: RankAccumulator(width, p) for p in kernels}
-    # one walk of the generators for all primes, until some rank is full,
-    # which certify takes from one prime; each prime's batch is built,
-    # added and dropped before the next
-    batches = _row_batches(shape, n, kernels, clifton)
-    while not any(acc.is_full for acc in accs.values()):
-        rows = next(batches, None)
-        if rows is None:
-            break
-        for p, acc in accs.items():
-            acc.add(rows(p))
-            if acc.is_full:
-                break
-    return width - certify({p: acc.rank for p, acc in accs.items()}, width)
+
+    def ranks_mod(p):
+        acc = RankAccumulator(width, p)
+        kernels = _slot_kernels(shape, n, p, clifton)
+        batches = _row_batches(shape, n, kernels, clifton, p)
+        while not acc.is_full and (batch := next(batches, None)) is not None:
+            acc.add(batch)
+        return [acc.rank]
+
+    return width - certified_ranks(choose_primes(width, n, primes), ranks_mod, [width])[0]
 
 
 MAX_DEGREE = 9
@@ -378,7 +366,7 @@ def naive_dim(n: int, primes=None) -> int:
         )
     width = len(_tree_basis(n))
     primes = choose_primes(width, n, primes)
-    return width - certify({p: _translate_span(n, p).rank for p in primes})
+    return width - certified_ranks(primes, lambda p: [_translate_span(n, p).rank], [width])[0]
 
 
 def _double_factorial(k: int) -> int:
@@ -413,7 +401,8 @@ def naive_module(n: int, primes=None) -> SnModule:
     """
     if n > 6:
         raise InfeasibleError("degree %d tree projectors are too large" % n)
-    primes = choose_primes(len(_tree_basis(n)), n, primes)
+    width = len(_tree_basis(n))
+    primes = choose_primes(width, n, primes)
     shapes = partitions(n)
     ambient = {}
     for shape in shapes:
@@ -427,8 +416,8 @@ def naive_module(n: int, primes=None) -> SnModule:
                 % (shape, tot)
             )
         ambient[shape] = int(tot)
-    sub_ranks: dict = {shape: {} for shape in shapes}
-    for p in primes:
+
+    def ranks_mod(p):
         span = _translate_span(n, p).basis()
         class_sums = {mu: np.zeros_like(span) for mu in partitions(n)}
         for perm, arr in _perm_index_arrays(n).items():
@@ -436,18 +425,19 @@ def naive_module(n: int, primes=None) -> SnModule:
             moved[:, arr] = span
             mu = _cycle_type(perm)
             class_sums[mu] = (class_sums[mu] + moved) % p
+        ranks = []
         for shape in shapes:
             proj = np.zeros_like(span)
             for mu, block in class_sums.items():
                 chi = character(shape, mu) % p
                 if chi:
                     proj = (proj + chi * block) % p
-            sub = RankAccumulator(proj.shape[1], p)
-            sub.add(proj)
-            sub_ranks[shape][p] = sub.rank
+            ranks.append(RankAccumulator(width, p).add(proj))
+        return ranks
+
     mults = {}
-    for shape in shapes:
-        rank = certify(sub_ranks[shape])
+    ranks = certified_ranks(primes, ranks_mod, [width] * len(shapes))
+    for shape, rank in zip(shapes, ranks):
         sub_mult, rem = divmod(rank, dim_irrep(shape))
         if rem:
             raise ArithmeticError(

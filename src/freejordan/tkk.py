@@ -29,9 +29,9 @@ the parity-aware exterior powers; each chain degree is finite dimensional
 even when the total complex is not.
 
 The structure checks are complete, not sampled: AlgebraFD.check tests
-super-Jacobi on every basis triple that can have a nonzero term, and
-inner_derivations tests every generator on every basis pair where the
-derivation rule can fail.
+the Jordan identity on every basis quadruple, and super-Jacobi on every
+basis triple, that can have a nonzero term, and inner_derivations tests
+every generator on every basis pair where the derivation rule can fail.
 
 ce_homology runs on integers: it scales the bracket once by D, the lcm of
 its denominators (1, 2 or 4 on the free truncations), which multiplies
@@ -167,11 +167,14 @@ class AlgebraFD:
     def check(self) -> None:
         """Verify the structure the kind claims; raises ValueError.
 
-        For the jordan kind, [L_a, L_{aa}] vanishes for every even basis
-        vector a, a probe of the Jordan identity.  For the lie kind,
-        super-Jacobi holds on every basis triple: only the triples
-        {a, b, c} with (a, b) and (m, c) in the table, m in [a, b], have a
-        nonzero term, and those are summed in integers (_int_table).
+        For the jordan kind, the defining identity of trees.jordan_tree_element,
+        ((ab)c)d + ((bd)c)a + ((ad)c)b - (ab)(cd) - (ac)(bd) - (ad)(bc) = 0,
+        each term signed by the Koszul sign of its letter order, holds on
+        every basis quadruple where some term has a nonzero chain of
+        products (_jordan_quadruples).  For the lie kind, super-Jacobi
+        holds on every basis triple: only the triples {a, b, c} with
+        (a, b) and (m, c) in the table, m in [a, b], have a nonzero term.
+        Both are summed in integers (_int_table).
         """
         self._check_grading()
         sign = lambda i, j: -1 if (self.parity[i] and self.parity[j]) else 1
@@ -182,20 +185,31 @@ class AlgebraFD:
                     "products of %s, %s break the %s symmetry"
                     % (self.labels[i], self.labels[j], self.kind)
                 )
-        if self.kind == "jordan":
-            for i in range(self.dim):
-                if self.parity[i]:
-                    continue  # odd a: a*a = 0 already forces nothing here
-                a, aa = {i: F1}, self.product(i, i)
-                for c in range(self.dim):
-                    e = {c: F1}
-                    if self.mult(a, self.mult(aa, e)) != self.mult(aa, self.mult(a, e)):
-                        raise ValueError(
-                            "[L_a, L_{aa}] != 0 for a = %s; not a Jordan algebra"
-                            % self.labels[i]
-                        )
-            return
         table = _int_table(self)
+        if self.kind == "jordan":
+            def mul(u, v):
+                out = {}
+                for i, x in u.items():
+                    for j, y in v.items():
+                        add_scaled(out, table.get((i, j), {}), x * y)
+                return out
+
+            for q in sorted(_jordan_quadruples(table)):
+                acc = {}
+                odd = [self.parity[v] for v in q]
+                for order, coeff, chained in _JORDAN_TERMS:
+                    x, y, z, w = ({q[i]: 1} for i in order)
+                    term = mul(mul(mul(x, y), z), w) if chained else mul(mul(x, y), mul(z, w))
+                    # the Koszul sign: -1 per inverted pair of odd letters
+                    flips = sum(i > j and odd[i] and odd[j]
+                                for i, j in itertools.combinations(order, 2))
+                    add_scaled(acc, term, coeff * (-1) ** flips)
+                if acc:
+                    raise ValueError(
+                        "Jordan identity fails on basis quadruple (%s, %s, %s, %s); "
+                        "not a Jordan algebra" % tuple(self.labels[i] for i in q)
+                    )
+            return
         right = {}
         for m, c in table:
             right.setdefault(m, []).append(c)
@@ -262,6 +276,37 @@ class AlgebraFD:
             degree=data.get("degree"),
             sl2_weight=data.get("sl2_weight"),
         )
+
+
+# the terms of the defining identity at (a, b, c, d): each one's letters
+# as positions in (a, b, c, d), its coefficient, and whether it is a left
+# chain ((xy)z)w rather than a product (xy)(zw)
+_JORDAN_TERMS = (
+    ((0, 1, 2, 3), 1, True), ((1, 3, 2, 0), 1, True), ((0, 3, 2, 1), 1, True),
+    ((0, 1, 2, 3), -1, False), ((0, 2, 1, 3), -1, False), ((0, 3, 1, 2), -1, False),
+)
+
+
+def _jordan_quadruples(table: dict) -> set:
+    """The basis quadruples (a, b, c, d) on which some term of the defining
+    identity has a nonzero chain of products in table, one per orbit of
+    the identity's (signed) symmetry in a, b and d: a <= b <= d."""
+    makes = {}  # m: the pairs (x, y) with m in xy
+    for xy, prod in table.items():
+        for m in prod:
+            makes.setdefault(m, []).append(xy)
+    out = set()
+    for m, n in table:
+        # the chains ((xy)z)n with m in (xy)z, and (xy)(zw) with m in xy
+        # and n in zw
+        left = [(x, y, z, n) for u, z in makes.get(m, ()) for x, y in makes.get(u, ())]
+        pairs = [xy + zw for xy in makes.get(m, ()) for zw in makes.get(n, ())]
+        for order, _, chained in _JORDAN_TERMS:
+            for chain in left if chained else pairs:
+                q = dict(zip(order, chain))
+                a, b, d = sorted((q[0], q[1], q[3]))
+                out.add((a, b, q[2], d))
+    return out
 
 
 def _is_table_row(row) -> bool:

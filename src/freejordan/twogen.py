@@ -16,10 +16,9 @@ reversal-fixed (which each batch checks) a block is ranked on one column
 per reversal orbit {w, reverse(w)}, about half of its words.  A block
 with more second letters than first is its letter-swap mirror.  That
 keeps the rank cheap enough to be pushed through degree 14.  One walk
-of the degrees per prime reports every degree's ranks, and the second
-prime is walked only if some block falls short of its orbit count at the
-first: a block of full rank mod p has full rank over Q, and by Cohn and
-Shirshov every block is full.
+of the degrees per prime reports every degree's ranks, and the primes
+are walked by the rule of `linalg.certified_ranks`: by Cohn and Shirshov
+every block is full, so the first prime is the only one walked.
 
 The graded dimension of the quotient that measures inner derivations
 follows the closed counting formula
@@ -32,13 +31,13 @@ ranks of the span.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import RankAccumulator, certify, choose_primes
+from .linalg import RankAccumulator, certified_ranks, choose_primes
 from .partitions import character, dim_irrep
 
 
@@ -215,25 +214,23 @@ def _block(n: int, ones: int, p: int, accs: dict) -> RankAccumulator:
 
 
 def _span_ranks(n: int, p: int) -> list:
-    """Ranks over F_p of the Jordan span's blocks, built degree by degree:
-    entry d - 1 lists the ranks of blocks (d, ones), ones = 0..d//2, for
-    d = 1..n.  Only the last two degrees' bases are kept."""
+    """Ranks over F_p of the Jordan span's blocks (d, ones), ones =
+    0..d//2, for d = 1..n, in that order, built degree by degree.  Only
+    the last two degrees' bases are kept."""
     accs, ranks = {}, []
     for d in range(1, n + 1):
         accs = {key: acc for key, acc in accs.items() if key[0] >= d - 2}
         for ones in range(d // 2 + 1):
             accs[d, ones] = _block(d, ones, p, accs)
-        ranks.append([accs[d, ones].rank for ones in range(d // 2 + 1)])
+            ranks.append(accs[d, ones].rank)
     return ranks
 
 
 def _span_dims(n: int, primes=None) -> list:
     """Ranks of the span of straightened Jordan monomials in degrees 1..n,
-    from one walk of the degrees per prime; refuses degrees above 14.
-
-    A block whose rank mod p is its column count (its reversal orbits) has
-    that rank over Q (certify), so the other primes are walked only if some
-    block falls short at the first.  By Cohn-Shirshov no block does."""
+    each block certified over its reversal orbits by the walk rule of
+    `linalg.certified_ranks`; refuses degrees above 14.  By Cohn-Shirshov
+    every block is full, so one prime is walked."""
     if n < 1:
         raise ValueError("degree must be positive")
     # the widest content block has n//2 second letters
@@ -245,17 +242,11 @@ def _span_dims(n: int, primes=None) -> list:
             estimate="%d orbit columns, rank target %d" % (width, reversible_dim(n)),
         )
     primes = choose_primes(width, n, primes)
-    columns = {
-        (d, ones): _reversal_orbits(d, ones) for d in range(1, n + 1) for ones in range(d // 2 + 1)
-    }
-    # one prime at a time: its bases are dropped before the next
-    first = _span_ranks(n, primes[0])
-    ranks = {primes[0]: first}
-    if any(first[d - 1][ones] < cols for (d, ones), cols in columns.items()):
-        ranks.update((p, _span_ranks(n, p)) for p in primes[1:])
+    blocks = [(d, ones) for d in range(1, n + 1) for ones in range(d // 2 + 1)]
+    ranks = certified_ranks(primes, partial(_span_ranks, n),
+                            [_reversal_orbits(d, ones) for d, ones in blocks])
     dims = [0] * n
-    for (d, ones), cols in columns.items():
-        rank = certify({p: r[d - 1][ones] for p, r in ranks.items()}, cols)
+    for (d, ones), rank in zip(blocks, ranks):
         dims[d - 1] += rank if 2 * ones == d else 2 * rank
     return dims
 
@@ -264,11 +255,9 @@ def jordan_span_dim(n: int, primes=None) -> int:
     """Rank of the span of straightened Jordan monomials in degree n;
     refuses degrees above 14.
 
-    The span is block diagonal, one block per letter content.  The first
-    prime builds the blocks degree by degree from the two degrees below
-    (_block); the other primes are walked only if some block falls short
-    of full rank there, and each block's rank is certified over the primes
-    walked.  Swapping the two letters matches block (n, ones) with
+    The span is block diagonal, one block per letter content, built
+    degree by degree from the two degrees below (_block) and certified by
+    _span_dims.  Swapping the two letters matches block (n, ones) with
     (n, n - ones), so only ones <= n//2 is ranked."""
     return _span_dims(n, primes)[-1]
 

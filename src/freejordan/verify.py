@@ -353,8 +353,8 @@ SUITES = {
 
 def run_suites(names, max_degree: int | None = None) -> list:
     """The reports of the named suites, in order.  max_degree goes to the
-    suites that take one (tables, dims); one that no named suite takes
-    raises ValueError, as does an unknown name."""
+    suites that take one (tables, dims); one below 1 or one that no named
+    suite takes raises ValueError, as does an unknown name."""
     for name in names:
         if name not in SUITES:
             raise ValueError(
@@ -362,6 +362,8 @@ def run_suites(names, max_degree: int | None = None) -> list:
             )
     if max_degree is None:
         return [SUITES[name]() for name in names]
+    if max_degree < 1:
+        raise ValueError("max degree must be at least 1, got %d" % max_degree)
     takes = {name for name in names
              if "max_degree" in inspect.signature(SUITES[name]).parameters}
     if not takes:

@@ -1,5 +1,9 @@
 import os
 
+# the package's thread default, set before any test module imports numpy
+# (importing freejordan sets it too, but test_acceptance imports numpy first)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 

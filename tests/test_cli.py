@@ -240,6 +240,14 @@ def test_cli_operad_rejects_a_prime_not_above_the_degree(capsys, degree, prime):
     assert err.startswith("error:") and "exceed the degree" in err
 
 
+def test_cli_operad_refuses_prime_zero(capsys):
+    # 0 used to read as no prime: the default primes ran, exit 0
+    code, out, err = run_cli(capsys, "operad", "--degree", "4", "--prime", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not prime" in err
+
+
 @pytest.mark.parametrize("prime", ["4294967311", "2305843009213693951"])
 def test_cli_operad_refuses_a_prime_from_2_31(capsys, prime):
     # int64 overflow used to print a total of 4 instead of 55, exit 0
@@ -289,7 +297,7 @@ def test_cli_multidegree_refusal(capsys):
 
 
 def test_cli_multidegree_refuses_large_span_quickly(capsys):
-    # (7, 2, 2) passes the degree and max_parts checks, but its 30,300
+    # (7, 2, 2) passes the degree and MAX_PARTS checks, but its 30,300
     # columns give an echelon basis of up to 1.8 GB; the refusal comes
     # before any monomial is built
     start = time.perf_counter()
@@ -441,6 +449,22 @@ def test_cli_tag_refuses_a_non_jordan_input(capsys, tmp_path):
     assert "not a Jordan algebra" in err
 
 
+def test_cli_tag_blames_j_for_a_doubled_product(capsys, tmp_path):
+    # the [L_a, L_{aa}] probe passed this J(2,4), and tag then blamed the
+    # TAG algebra for a failed Jacobi triple
+    from test_tkk import doubled_product
+    from freejordan.tkk import truncated_free_jordan
+
+    J = truncated_free_jordan(2, 4)
+    bad = doubled_product(J, J.labels.index("2"), J.labels.index("12"))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json()))
+    code, out, err = run_cli(capsys, "tag", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not a Jordan algebra" in err and "Jacobi" not in err
+
+
 @pytest.mark.parametrize("field", ["table", "labels"])
 def test_cli_tag_names_a_missing_field(capsys, tmp_path, field):
     blob = {"kind": "jordan", "labels": ["a"], "table": [[0, 0, [0, 1, 1]]]}
@@ -491,6 +515,16 @@ def test_cli_verify_refuses_a_max_degree_its_suite_ignores(capsys, suite):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert suite in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_cli_verify_refuses_a_max_degree_below_one(capsys, degree):
+    # on dims, 0 used to pass every check vacuously (exit 0) and -3 to
+    # fail some (exit 1)
+    code, out, err = run_cli(capsys, "verify", "--suite", "dims", "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at least 1" in err
 
 
 def test_cli_verify_max_degree_without_a_suite_goes_to_tables_and_dims(

@@ -20,6 +20,7 @@ from freejordan.linalg import (
     _rref,
     bareiss_rank,
     blas_primes,
+    certified_ranks,
     certify,
     choose_primes,
     is_prime,
@@ -98,6 +99,46 @@ def test_certify_agrees_disagrees_and_rejects_empty():
     assert ei.value.outliers == [103]
     with pytest.raises(ValueError, match="no primes"):
         certify({})
+
+
+def _walk(table):
+    """ranks_mod for certified_ranks from {p: ranks}, and the primes walked."""
+    walked = []
+
+    def ranks_mod(p):
+        walked.append(p)
+        return table[p]
+
+    return ranks_mod, walked
+
+
+def test_certified_ranks_walks_one_prime_when_every_matrix_is_full():
+    ranks_mod, walked = _walk({101: [3, 0, 5], 103: [0, 0, 0]})
+    assert certified_ranks((101, 103), ranks_mod, [3, 0, 5]) == [3, 0, 5]
+    assert walked == [101]
+
+
+def test_certified_ranks_walks_every_prime_when_a_matrix_falls_short():
+    # the first prime is unlucky on the third matrix, the last on the
+    # first: a full rank at any prime settles its matrix
+    ranks_mod, walked = _walk({101: [3, 2, 4], 103: [3, 2, 5], 107: [2, 2, 5]})
+    assert certified_ranks((101, 103, 107), ranks_mod, [3, 3, 5]) == [3, 2, 5]
+    assert walked == [101, 103, 107]
+
+
+def test_certified_ranks_refuses_disagreeing_short_ranks():
+    ranks_mod, _ = _walk({101: [2, 1], 103: [2, 2]})
+    with pytest.raises(UnluckyPrimeError) as ei:
+        certified_ranks((101, 103), ranks_mod, [3, 3])
+    assert ei.value.outliers == [101]
+    with pytest.raises(ValueError, match="no primes"):
+        certified_ranks((), ranks_mod, [3, 3])
+
+
+def test_certified_ranks_takes_one_explicit_prime_as_given():
+    ranks_mod, walked = _walk({101: [2, 0, 3]})
+    assert certified_ranks((101,), ranks_mod, [3, 3, 3]) == [2, 0, 3]
+    assert walked == [101]
 
 
 def test_certify_takes_a_full_rank_from_one_prime():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freejordan import tables
+from freejordan import multidegree, tables
 from freejordan.errors import InfeasibleError
 from freejordan.linalg import ExactRowReducer, RankAccumulator, blas_primes
 from freejordan.multidegree import (
@@ -77,8 +77,9 @@ def test_weight_spaces_match_module_decomposition():
                 assert multidegree_dim(delta) == want, delta
 
 
-def test_full_multilinear_content_matches_operad():
-    assert multidegree_dim((1, 1, 1, 1), max_parts=4) == 11
+def test_full_multilinear_content_matches_operad(monkeypatch):
+    monkeypatch.setattr(multidegree, "MAX_PARTS", 4)
+    assert multidegree_dim((1, 1, 1, 1)) == 11
 
 
 def test_two_variable_row_sums():
@@ -253,7 +254,8 @@ def _check_seeded_ranks(delta: tuple, primes) -> int:
     returns how many primes lose rank against a BLAS prime."""
     p = blas_primes(len(normal_monomials(delta)))[0]
     want = _ref_rank(delta, p)
-    ranks = _seeded_ranks(delta, (p,) + primes)
+    ranks_mod = _seeded_ranks(delta)
+    ranks = {q: ranks_mod(q)[0] for q in (p,) + primes}
     assert ranks == {q: _ref_rank(delta, q) for q in (p,) + primes}, delta
     return sum(r < want for r in ranks.values())
 

@@ -253,8 +253,8 @@ def test_projected_widths_match_the_kernels_mod_p():
 
 @pytest.mark.parametrize("pair", ["blas", "31-bit"])
 def test_row_batches_give_every_prime_its_own_rows(pair):
-    # one walk for all primes: each prime's rows equal, mod p, the rows
-    # built for that prime alone, generator by generator, in exact integers
+    # each prime's rows equal, mod p, the rows built generator by
+    # generator in exact integers
     for n in range(4, 8):
         gens = _sigma_expansion(n)
         for shape in partitions(n):
@@ -262,10 +262,9 @@ def test_row_batches_give_every_prime_its_own_rows(pair):
             widths = _projected_widths(shape, n)
             primes = blas_primes(sum(widths)) if pair == "blas" else P31
             clifton = partial(clifton_matrix, shape)
-            kernels = {p: _slot_kernels(shape, n, p, clifton) for p in primes}
-            batches = list(_row_batches(shape, n, kernels, clifton))
             for p in primes:
-                got = np.concatenate([rows(p) for rows in batches]) % p
+                kernels = _slot_kernels(shape, n, p, clifton)
+                got = np.concatenate(list(_row_batches(shape, n, kernels, clifton, p))) % p
                 assert got.shape == (len(gens) * d, sum(widths))
                 for g, terms in enumerate(gens):
                     bands = [np.zeros((d, d), dtype=object) for _ in widths]
@@ -273,7 +272,7 @@ def test_row_batches_give_every_prime_its_own_rows(pair):
                         bands[ti] += c * clifton_matrix(shape, sigma).T.astype(object)
                     want = np.concatenate(
                         [band @ q.astype(object) % p
-                         for band, q in zip(bands, kernels[p])], axis=1)
+                         for band, q in zip(bands, kernels)], axis=1)
                     assert (got[g * d : (g + 1) * d] == want).all()
 
 
@@ -282,45 +281,34 @@ def test_multiplicity_pulls_no_batch_once_some_prime_is_full(monkeypatch):
 
     n = 5
     # one generator per (permutation, type): their rows span every column,
-    # so a rank is full long before the last batch
+    # so the rank is full long before the last batch
     expansion = tuple(((ti, sigma, 1),) for sigma in permutations(range(n))
                       for ti in range(len(normal_types(n))))
     monkeypatch.setattr(operad_mod, "_sigma_expansion", lambda m: expansion)
     pulled = []
 
     def counted(*args):
-        for rows in _row_batches(*args):
-            pulled.append(rows)
-            yield rows
+        for batch in _row_batches(*args):
+            pulled.append((args[-1], batch))
+            yield batch
 
     monkeypatch.setattr(operad_mod, "_row_batches", counted)
-    shape = (3, 2)
-    # 6 columns; the slot kernels' accumulators have dim S^(3,2) = 5
-    width = sum(_projected_widths(shape, n))
-    full_after = []
-
-    class Counted(RankAccumulator):
-        def add(self, rows):
-            super().add(rows)
-            if self.ncols == width:
-                full_after.append(self.is_full)
-
-    monkeypatch.setattr(operad_mod, "RankAccumulator", Counted)
     # the sign representation has width 0: full before any batch
     assert multiplicity((1,) * n, n) == 0
     assert pulled == []
+    shape = (3, 2)
+    width = sum(_projected_widths(shape, n))
     assert multiplicity(shape, n) == 0
     assert 0 < len(pulled) < len(expansion) / 24
-    # no prime takes a batch once some prime is full
-    assert full_after.index(True) == len(full_after) - 1
-    primes = blas_primes(width)
-    accs = {p: RankAccumulator(width, p) for p in primes}
-    for rows in pulled:
-        # every batch pulled found every prime short of full rank
-        assert not any(acc.is_full for acc in accs.values())
-        for p, acc in accs.items():
-            acc.add(rows(p))
-    assert any(acc.is_full for acc in accs.values())
+    # full at the first prime, so the second prime is never walked
+    p = blas_primes(width)[0]
+    assert {q for q, _ in pulled} == {p}
+    # every batch pulled found the rank short of full, and the last filled it
+    acc = RankAccumulator(width, p)
+    for _, batch in pulled:
+        assert not acc.is_full
+        acc.add(batch)
+    assert acc.is_full
 
 
 def test_projected_widths_spot_values():

@@ -147,7 +147,7 @@ def test_symmetric_two_by_two_has_one_inner_derivation():
 
 
 def test_non_jordan_input_is_detected():
-    # e1*e1 = e2, e1*e2 = e1 breaks [L_a, L_{aa}] = 0
+    # e1*e1 = e2, e1*e2 = e1 breaks the Jordan identity
     bad = AlgebraFD(
         "jordan",
         ("a", "b"),
@@ -540,11 +540,7 @@ def non_jordan_j25():
     """J(2,5) with x1.(x1 x2) doubled on both sides: graded and
     commutative, but not Jordan."""
     J = truncated_free_jordan(2, 5)
-    a, b = J.labels.index("1"), J.labels.index("12")
-    table = dict(J.table)
-    for key in ((a, b), (b, a)):
-        table[key] = {k: 2 * c for k, c in table[key].items()}
-    return AlgebraFD("jordan", J.labels, table, degree=J.degree)
+    return doubled_product(J, J.labels.index("1"), J.labels.index("12"))
 
 
 def test_tag_refuses_a_non_jordan_input():
@@ -555,6 +551,42 @@ def test_tag_refuses_a_non_jordan_input():
         bad.check()
     with pytest.raises(RuntimeError, match="Jacobi fails on basis triple"):
         tag(bad)
+
+
+def doubled_product(J, a, b):
+    """J with the product of basis vectors a and b doubled, both orders:
+    still graded and commutative."""
+    table = dict(J.table)
+    for key in {(a, b), (b, a)}:
+        table[key] = {k: 2 * c for k, c in table[key].items()}
+    return AlgebraFD("jordan", J.labels, table, degree=J.degree)
+
+
+def test_check_refuses_every_doubled_product_of_j24():
+    # the [L_a, L_{aa}] probe on basis vectors let 12 of the 27 through
+    J = truncated_free_jordan(2, 4)
+    pairs = sorted({tuple(sorted(ab)) for ab in J.table})
+    assert len(pairs) == 27
+    for a, b in pairs:
+        with pytest.raises(ValueError, match="not a Jordan algebra"):
+            doubled_product(J, a, b).check()
+
+
+@pytest.mark.parametrize("build", [
+    _kaplansky_k3,
+    lambda: _matrix_superalgebra(1, 1),
+    lambda: _matrix_superalgebra(2, 1),
+    lambda: _matrix_superalgebra(1, 2),
+    lambda: _matrix_superalgebra(2, 0),
+    lambda: symmetric_matrix_jordan(3),
+    lambda: truncated_free_jordan(2, 5),
+    lambda: truncated_free_jordan(3, 3),
+    lambda: truncated_free_jordan(3, 5),
+    lambda: truncated_free_jordan(1, 8),
+    lambda: truncated_free_jordan(1, 1, parities=(1,)),
+], ids=["K3", "M11", "M21", "M12", "M2", "Sym3", "J25", "J33", "J35", "J18", "odd-line"])
+def test_check_passes_jordan_superalgebras(build):
+    build().check()
 
 
 @pytest.mark.parametrize("kind, parity, table", [
