@@ -139,7 +139,9 @@ def cmd_operad(args) -> int:
     check_degree(n)
     # checked before any relation is built; defaults depend on the shape
     primes = choose_primes(0, n, [args.prime]) if args.prime is not None else None
-    shapes = [_parse_partition(args.shape)] if args.shape else list(partitions(n))
+    shapes = (
+        [_parse_partition(args.shape)] if args.shape is not None else list(partitions(n))
+    )
     for shape in shapes:
         if sum(shape) != n or any(
             shape[i] < shape[i + 1] for i in range(len(shape) - 1)

@@ -26,7 +26,8 @@ between rows through _eliminate (the shape of FFLAS-FFPACK's PLUQ,
 Dumas-Giorgi-Pernet 2008, whose recursion also switches to iterative
 elimination below a threshold).
 
-Relation matrices reach RankAccumulator through add, seeded by
+Relation matrices reach RankAccumulator through add, as dense blocks or
+as CSRRows (compressed sparse rows, which multidegree builds), seeded by
 RankAccumulator.direct_sum where a span is the direct sum of smaller
 ones plus fresh rows.  Every certified rank follows one walk rule,
 certified_ranks: ranks_mod(p) ranks the caller's matrices over F_p, one
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +63,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # _rref reduces blocks of at most this many nonzero rows by Gauss-Jordan
 _LEAF_ROWS = 32
+
+# a sparse remainder gathers rows of X for at most this many int64 entries
+# at once
+_GATHER = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -256,6 +262,16 @@ def _rref(block: np.ndarray, p: int):
     return np.concatenate([top, bottom]), tpiv + bpiv
 
 
+class CSRRows(NamedTuple):
+    """Rows in compressed sparse row form: row k holds vals[t] at column
+    cols[t] for indptr[k] <= t < indptr[k + 1], one entry per column at
+    most, in any column order."""
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
 class RankAccumulator:
     """Incremental rank of a growing set of vectors over F_p.
 
@@ -270,6 +286,13 @@ class RankAccumulator:
     those columns from the free set to the pivots.  Once the rank reaches
     the ambient dimension (is_full) no column is free and adds change
     nothing.
+
+    T is a dense 2d array, or CSRRows for rows that are mostly zeros.
+    The remainder of CSRRows is built from their nonzeros alone: each
+    entry on a free column is put in place, and each entry v on a pivot
+    column k subtracts v * X[k], the products summed per row mod p, at
+    most _GATHER gathered entries of X at once.  The remainder, and all
+    that follows it, is the same either way.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -324,6 +347,8 @@ class RankAccumulator:
 
     def _remainder(self, vectors) -> np.ndarray:
         # the free columns of vectors, modulo the span
+        if isinstance(vectors, CSRRows):
+            return self._sparse_remainder(vectors)
         block = np.array(vectors, dtype=np.int64, ndmin=2)
         if block.ndim != 2 or block.shape[1] != self.ncols:
             raise ValueError(
@@ -334,8 +359,49 @@ class RankAccumulator:
         block = block[:, self._free]
         return _eliminate(block, coef, self._x, self.p)
 
+    def _sparse_remainder(self, rows: CSRRows) -> np.ndarray:
+        # the same remainder from the nonzeros alone: free entries are
+        # scattered into place, and each pivot entry subtracts its value
+        # times its row of X
+        indptr, cols, vals = (np.asarray(a, dtype=np.int64) for a in rows)
+        counts = np.diff(indptr)
+        if (len(indptr) < 1 or indptr[0] != 0 or (counts < 0).any()
+                or indptr[-1] != len(cols) or len(cols) != len(vals)):
+            raise ValueError("CSR rows need indptr from 0 to len(cols) == len(vals)")
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.ncols):
+            raise ValueError("CSR columns fall outside 0..%d" % (self.ncols - 1))
+        row = np.repeat(np.arange(len(counts)), counts)
+        key = np.sort(row * self.ncols + cols)
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("a CSR row repeats a column")
+        p = self.p
+        vals = vals % p
+        # each column's place among the free columns, or -1 - its pivot index
+        place = np.empty(self.ncols, dtype=np.int64)
+        place[self._free] = np.arange(len(self._free))
+        place[self._pivcols] = -1 - np.arange(self.rank)
+        at = place[cols]
+        out = np.zeros((len(counts), len(self._free)), dtype=np.int64)
+        free = at >= 0
+        out[row[free], at[free]] = vals[free]
+        piv = ~free
+        row, at, vals = row[piv], -1 - at[piv], vals[piv]
+        # a row's products, each below p**2, sum without wrapping unless
+        # p is near 2**31; then each is reduced first
+        wide = len(counts) and int(counts.max()) * (p - 1) ** 2 >= 2**63
+        step = max(1, _GATHER // max(1, len(self._free)))
+        for a in range(0, len(row), step):
+            prod = self._x[at[a : a + step]] * vals[a : a + step, None]
+            if wide:
+                prod %= p
+            r = row[a : a + step]
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            out[r[starts]] -= np.add.reduceat(prod, starts) % p
+        return np.remainder(out, p, out=out)
+
     def add(self, vectors) -> int:
-        """Absorb vectors (2d array, one vector per row); returns the rank."""
+        """Absorb vectors (a 2d array, one vector per row, or CSRRows);
+        returns the rank."""
         fresh, piv = _rref(self._remainder(vectors), self.p)
         if piv:
             keep = np.ones(len(self._free), dtype=bool)

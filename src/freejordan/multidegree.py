@@ -34,16 +34,21 @@ _seeded_ranks call, one component call (all of its lower contents), one
 operad.consequences(n), one tkk truncation (its components and its
 structure constants), or one relation_rows call on its own.  The table
 interns normal monomials as ints, straightens one two-factor tree per
-distinct pair of ids, and memoises each (ab)c; a row adds the six terms of
-the identity into one int dict, with no intermediate element per product.
-A row built this way differs from the literal straightened identity
-instance by straightened relation elements, and restricting slots to
-normal monomials only re-spans the same rows by multilinearity, so the
-computed span always sits inside the true relation image: reported
-dimensions can only err upward.  That they do not is checked against the
-multilinear decomposition through every small content (see the
-weight-space tests) and against independently published values in higher
-degree.
+distinct pair of ids, and keeps each such product as int64 arrays keyed
+by the pair.  Rows are built as arrays too, _CHUNK slot tuples at a
+time: the six terms of the identity are expanded level by level,
+((b1 b2) b3) b4 as three pair products in turn and (b1 b2)(b3 b4) as
+every term of one pair times every term of the other, and the terms of
+each row are summed per monomial.  The rows come out as one CSR triple
+(indptr, ids, vals), which _seeded_ranks hands to RankAccumulator.add as
+it is; relation_rows is its view as dicts.  A row built this way differs
+from the literal straightened identity instance by straightened relation
+elements, and restricting slots to normal monomials only re-spans the
+same rows by multilinearity, so the computed span always sits inside the
+true relation image: reported dimensions can only err upward.  That they
+do not is checked against the multilinear decomposition through every
+small content (see the weight-space tests) and against independently
+published values in higher degree.
 
 The table owns all of its computation's straightening state, its own
 trees.straightener() memo included, and the state goes with the table.
@@ -59,22 +64,25 @@ orbit.  Every append is likewise a relabelling of a degree-(n-1)
 representative times x_n or a degree-(n-2) one times (x_{n-1} x_n).
 
 Relation rows are integral: straightening only ever halves, so every
-product in the table is ints over one power of two, 2**s, as the
-table's straightener returns it, and a row's six terms are added in int
-arithmetic, shifting the running sum left when a term brings a larger s.
-Each row is then scaled, where it is built, by the least power of two that
-makes it integral, which moves neither its span over Q nor its rank modulo
-an odd prime.  Dimensions come from modular ranks, certified by the walk
-rule of `linalg.certified_ranks`; the exact Component view keeps a
-rational echelon form instead, so products can be expressed in an
-explicit quotient basis.
+product in the table is ints over one power of two, 2**s, as the table's
+straightener returns it.  Each term of a row is an int times 2**-s; the
+terms are shifted left onto the row's largest s, added, and divided by
+their common twos (never past that s), so each row is scaled, where it
+is built, by the least power of two that makes it integral, which moves
+neither its span over Q nor its rank modulo an odd prime.  Every int on
+the way stays below _INT_BOUND = 2**62 in absolute value, checked at
+each product of two coefficients and for each row's shifted sum, so
+int64 never wraps; a coefficient past the bound raises ArithmeticError.
+Dimensions come from modular ranks, certified by the walk rule of
+`linalg.certified_ranks`; the exact Component view keeps a rational
+echelon form instead, so products can be expressed in an explicit
+quotient basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import defaultdict
 from functools import cache
 from math import factorial
 from numbers import Integral
@@ -82,14 +90,18 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InfeasibleError
-from .linalg import ExactRowReducer, RankAccumulator, certified_ranks, choose_primes
+from .linalg import (
+    CSRRows,
+    ExactRowReducer,
+    RankAccumulator,
+    certified_ranks,
+    choose_primes,
+)
 from .trees import (
-    common_twos,
     monomial_key,
     monomial_to_tree,
     node,
     normal_types,
-    scaled_sum,
     straightener,
 )
 
@@ -160,22 +172,64 @@ def _unit_factors(g: int):
             yield (i, j), content
 
 
+# slot tuples whose rows _Products.rows assembles at once
+_CHUNK = 512
+
+# every int the row builder makes (a product of two coefficients, a row's
+# terms shifted onto its power of two, and their sum) stays below this in
+# absolute value, so int64 never wraps; a larger one raises ArithmeticError
+_INT_BOUND = 2**62
+
+
+def _ragged(starts, counts):
+    """(src, at): for each i, at runs over starts[i], ..., starts[i] +
+    counts[i] - 1, and src repeats i as often."""
+    src = np.repeat(np.arange(len(counts)), counts)
+    at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return src, at + np.arange(len(src))
+
+
+def _runs(a):
+    """The indices at which the runs of equal values in a begin."""
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _magnitude(a) -> int:
+    return max(int(a.max()), -int(a.min())) if len(a) else 0
+
+
+def _bounded(bound) -> None:
+    if bound > _INT_BOUND:
+        raise ArithmeticError(
+            "relation row coefficients reach %.3g, past the int64 bound 2**62"
+            % float(bound)
+        )
+
+
 class _Products:
     """Products of normal monomials for one computation, and the only owner
     of its straightening state.
 
-    Monomials are interned as ids (`ids`, `mons`); the product of two ids
-    and the product (ab)c are memoised as (s, ((id, int), ...)), the ints
-    times 2**-s.  Products are straightened by the table's own
-    trees.straightener(), whose memo goes with the table.
+    Monomials are interned as ids (`ids`, `mons`).  mul(i, j) straightens
+    one product through the table's own trees.straightener(), whose memo
+    goes with the table, as (s, ((id, int), ...)), the ints times 2**-s.
+    rows() reads products only through mul and keeps each one it reads,
+    in arrays keyed by the sorted pair code (min id) << 32 | max id: per
+    code its shift, and its terms as a span of one id array and one
+    coefficient array.
     """
 
     def __init__(self):
         self.ids: dict = {}
         self.mons: list = []
-        self._pairs: dict = {}
-        self._left: dict = {}
         self._straighten = straightener()
+        # one sentinel code above every pair's keeps lookups in range
+        self._codes = np.array([np.iinfo(np.int64).max])
+        self._shift = self._start = self._len = np.zeros(1, dtype=np.int64)
+        self._ids = self._vals = np.zeros(0, dtype=np.int64)
 
     def id(self, m: tuple) -> int:
         i = self.ids.get(m)
@@ -185,62 +239,131 @@ class _Products:
         return i
 
     def mul(self, i: int, j: int) -> tuple:
-        key = (i, j) if i <= j else (j, i)
-        out = self._pairs.get(key)
-        if out is None:
-            tree = node(monomial_to_tree(self.mons[i]), monomial_to_tree(self.mons[j]))
-            s, terms = self._straighten(tree)
-            out = self._pairs[key] = s, tuple((self.id(m), c) for m, c in terms)
-        return out
+        tree = node(monomial_to_tree(self.mons[i]), monomial_to_tree(self.mons[j]))
+        s, terms = self._straighten(tree)
+        return s, tuple((self.id(m), c) for m, c in terms)
 
-    def left(self, a: int, b: int, c: int) -> tuple:
-        """(ab)c for the ids a, b, c."""
-        key = (a, b, c) if a <= b else (b, a, c)
-        out = self._left.get(key)
-        if out is None:
-            s, ab = self.mul(a, b)
-            t, pairs = scaled_sum([(x, self.mul(m, c)) for m, x in ab])
-            out = self._left[key] = s + t, pairs
-        return out
+    def _pairs(self, m, n):
+        """Positions in the arrays of the products of the ids m[k] and
+        n[k]; the products not kept yet are read through mul first."""
+        code = np.minimum(m, n) << 32 | np.maximum(m, n)
+        at = np.searchsorted(self._codes, code)
+        kept = self._codes[at] == code
+        if not kept.all():
+            new = code[~kept]
+            new = new[np.argsort(new, kind="stable")]
+            new = new[_runs(new)]
+            shifts, lens, ids, vals = [], [], [], []
+            for c in new.tolist():
+                s, terms = self.mul(c >> 32, c & 0xFFFFFFFF)
+                shifts.append(s)
+                lens.append(len(terms))
+                for i, x in terms:
+                    ids.append(i)
+                    vals.append(x)
+            lens = np.array(lens, dtype=np.int64)
+            starts = len(self._ids) + np.cumsum(lens) - lens
+            self._ids = np.concatenate([self._ids, np.array(ids, dtype=np.int64)])
+            self._vals = np.concatenate([self._vals, np.array(vals, dtype=np.int64)])
+            # a stable sort of two sorted runs is one merge
+            order = np.argsort(np.concatenate([self._codes, new]), kind="stable")
+            self._codes, self._shift, self._start, self._len = (
+                np.concatenate([old, add])[order]
+                for old, add in ((self._codes, new), (self._shift, shifts),
+                                 (self._start, starts), (self._len, lens))
+            )
+            at = np.searchsorted(self._codes, code)
+        return at
 
-    def row(self, b1: int, b2: int, b3: int, b4: int) -> dict:
-        """The defining identity at four ids, in normal coordinates, scaled
-        by the least power of two that makes its coefficients integers.
-        The six terms are added into one int dict at a running power of
-        two."""
-        mul = self.mul
-        out = defaultdict(int)
-        shift = 0
+    def _times(self, x, s, m, n):
+        """The terms x[k] * 2**-s[k] * (m[k] n[k]), expanded: (src, x, s,
+        ids), src[t] the k whose product gave term t."""
+        at = self._pairs(m, n)
+        src, k = _ragged(self._start[at], self._len[at])
+        c = self._vals[k]
+        _bounded(_magnitude(x) * _magnitude(c))
+        return src, x[src] * c, s[src] + self._shift[at][src], self._ids[k]
 
-        def add(x0, s, e, n):
-            # out += x0 * e * n, for e = ((id, int), ...) times 2**-s
-            nonlocal shift
-            for m, x in e:
-                t, pairs = mul(m, n)
-                if s + t > shift:
-                    for k in out:
-                        out[k] <<= s + t - shift
-                    shift = s + t
-                x = x0 * x << (shift - s - t)
-                for k, y in pairs:
-                    out[k] += x * y
+    def rows(self, slots) -> tuple:
+        """The defining identity at each row (b1, b2, b3, b4) of the id
+        array slots, in normal coordinates, each row scaled by the least
+        power of two that makes its coefficients integers: CSR arrays
+        (indptr, ids, vals), one row per slot tuple in order, zero rows
+        dropped, each row's ids increasing.  Slot tuples are assembled
+        _CHUNK at a time."""
+        slots = np.asarray(slots, dtype=np.int64).reshape(-1, 4)
+        parts = [self._chunk_rows(slots[a : a + _CHUNK])
+                 for a in range(0, len(slots), _CHUNK)]
+        counts, ids, vals = (
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [part[j] for part in parts])
+            for j in range(3)
+        )
+        return np.concatenate([[0], np.cumsum(counts)]), ids, vals
 
-        for (s, e), n in (
-            (self.left(b1, b2, b3), b4),
-            (self.left(b2, b4, b3), b1),
-            (self.left(b1, b4, b3), b2),
-        ):
-            add(1, s, e, n)
-        for (sp, p), (sq, q) in (
-            (mul(b1, b2), mul(b3, b4)),
-            (mul(b1, b3), mul(b2, b4)),
-            (mul(b1, b4), mul(b2, b3)),
-        ):
-            for n, y in q:
-                add(-y, sp + sq, p, n)
-        k = common_twos(out.values(), shift)
-        mons = self.mons
-        return {mons[i]: c >> k for i, c in out.items() if c}
+    def _chunk_rows(self, slots) -> tuple:
+        # (entries per nonzero row, ids, vals) for one chunk of rows()
+        k = len(slots)
+        b1, b2, b3, b4 = slots.T
+        # the six products of two slots: (b1 b2), (b2 b4), (b1 b4) start
+        # the left combs, and each times (b3 b4), (b1 b3), (b2 b3) gives a
+        # product of two pairs; term src // k is the pair, src % k the row
+        src, x, s, m = self._times(
+            np.ones(6 * k, dtype=np.int64),
+            np.zeros(6 * k, dtype=np.int64),
+            np.concatenate([b1, b2, b1, b3, b1, b2]),
+            np.concatenate([b2, b4, b4, b4, b3, b3]),
+        )
+        pair, row = np.divmod(src, k)
+        comb = np.flatnonzero(pair < 3)
+        # ((b1 b2) b3) b4, ((b2 b4) b3) b1 and ((b1 b4) b3) b2
+        t, lx, ls, lm = self._times(x[comb], s[comb], m[comb], b3[row[comb]])
+        lrow = row[comb][t]
+        ln = np.stack([b4, b1, b2])[pair[comb][t], lrow]
+        # -(b1 b2)(b3 b4), -(b2 b4)(b1 b3) and -(b1 b4)(b2 b3): each term of
+        # the first pair times each of the second in the same row; terms
+        # come in src order, so those of one src are contiguous
+        per = np.bincount(src, minlength=6 * k)
+        q = src[comb] + 3 * k
+        a, b = _ragged((np.cumsum(per) - per)[q], per[q])
+        a = comb[a]
+        _bounded(_magnitude(x) ** 2)
+        t, x, s, m = self._times(
+            np.concatenate([lx, -x[a] * x[b]]),
+            np.concatenate([ls, s[a] + s[b]]),
+            np.concatenate([lm, m[a]]),
+            np.concatenate([ln, m[b]]),
+        )
+        row = np.concatenate([lrow, row[a]])[t]
+        return _summed_rows(k, len(self.mons), row, x, s, m)
+
+
+def _summed_rows(k: int, nids: int, row, x, s, m) -> tuple:
+    """(entries per nonzero row, ids, vals) of the k rows holding the terms
+    x[t] * 2**-s[t] * m[t] in row[t]: each row's terms shifted onto its
+    largest power of two, summed per id and divided by their common twos
+    (at most that power)."""
+    key = row * nids + m
+    order = np.argsort(key, kind="stable")
+    key, x, s = key[order], x[order], s[order]
+    row = key // nids
+    starts = _runs(row)
+    top = np.zeros(k, dtype=np.int64)
+    top[row[starts]] = np.maximum.reduceat(s, starts)
+    shift = top[row] - s
+    # each row's sum of |x| * 2**shift bounds its terms and its sums
+    mag = np.ldexp(np.abs(x.astype(np.float64)), shift)
+    _bounded(np.add.reduceat(mag, starts).max(initial=0))
+    starts = _runs(key)
+    vals = np.add.reduceat(x << shift, starts)
+    keep = vals != 0
+    key, vals = key[starts][keep], vals[keep]
+    row = key // nids
+    starts = _runs(row)
+    counts = np.bincount(row, minlength=k)[row[starts]]
+    bits = np.bitwise_or.reduceat(vals, starts)
+    # a row that is integral at 2**0 is never multiplied by 2
+    twos = np.minimum(np.log2(bits & -bits).astype(np.int64), top[row[starts]])
+    return counts, key % nids, vals >> np.repeat(twos, counts)
 
 
 def _lower_contents(delta: tuple):
@@ -259,18 +382,15 @@ def _appended(m: tuple, u: tuple) -> tuple:
     return m[0], m[1] + (u,)
 
 
-def relation_rows(delta: tuple, table: _Products | None = None) -> tuple:
-    """Fresh instances of the defining identity in one content.  With the
-    relations of its lower contents, each with its unit factor appended
-    (_lower_contents, _appended), they span the content's relations.
-    Products come from table, a fresh one if none is given."""
+def _fresh_rows(delta: tuple, table: _Products) -> tuple:
+    """The content's fresh instances of the defining identity as CSR
+    arrays (indptr, ids, vals) over table's ids, one row per slot tuple
+    up to the slot-1/2/4 symmetry, in slot-split order."""
     if sum(delta) < 4:
-        return ()
-    if table is None:
-        table = _Products()
+        return table.rows(())
     ids = {s: [table.id(m) for m in normal_monomials(s)]
            for s in _nonzero_subcontents(delta)}
-    rows = []
+    slots = []
     seen = set()
     for s1, s2, s3, s4 in _slot_splits(delta):
         for v3 in ids[s3]:
@@ -279,13 +399,28 @@ def relation_rows(delta: tuple, table: _Products | None = None) -> tuple:
                     for v4 in ids[s4]:
                         # the identity is symmetric in slots 1, 2, 4
                         key = (tuple(sorted((v1, v2, v4))), v3)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        elt = table.row(v1, v2, v3, v4)
-                        if elt:
-                            rows.append(elt)
-    return tuple(rows)
+                        if key not in seen:
+                            seen.add(key)
+                            slots.append((v1, v2, v3, v4))
+    return table.rows(slots)
+
+
+def _row_dicts(table: _Products, indptr, ids, vals) -> tuple:
+    """CSR rows over table's ids as {monomial: int} dicts."""
+    mons = [table.mons[i] for i in ids.tolist()]
+    vals = vals.tolist()
+    return tuple(dict(zip(mons[a:b], vals[a:b]))
+                 for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+
+
+def relation_rows(delta: tuple, table: _Products | None = None) -> tuple:
+    """Fresh instances of the defining identity in one content, as dicts.
+    With the relations of its lower contents, each with its unit factor
+    appended (_lower_contents, _appended), they span the content's
+    relations.  Products come from table, a fresh one if none is given."""
+    if table is None:
+        table = _Products()
+    return _row_dicts(table, *_fresh_rows(delta, table))
 
 
 # (8, 2, 1), the largest content checked against published values, has a
@@ -348,9 +483,10 @@ def _seeded_ranks(delta: tuple):
 
     Each content reached from delta through _lower_contents starts from
     the direct sum of its lower contents' echelon bases, relabelled by
-    _appended, and takes only its own fresh rows through add.  Appending
-    u is an injective relabelling of columns that spans, mod p, what the
-    appended rows span, so every prime's rank is that of the full row set.
+    _appended, and takes only its own fresh rows, as CSRRows, through
+    add.  Appending u is an injective relabelling of columns that spans,
+    mod p, what the appended rows span, so every prime's rank is that of
+    the full row set.
     """
     # every content reached from delta, lowest degree first
     contents = [delta]
@@ -358,37 +494,34 @@ def _seeded_ranks(delta: tuple):
         contents.extend(low for u, low in _lower_contents(d) if low not in contents)
     contents.sort(key=sum)
     table = _Products()
-    built = {}  # content -> (width, fresh sparse rows, lower column maps)
+    built = {}  # content -> (width, fresh CSR rows, lower column maps)
     for d in contents:
+        indptr, ids, vals = _fresh_rows(d, table)
+        # table id -> column of content d; its monomials are all interned
         span = normal_monomials(d)
-        index = {m: i for i, m in enumerate(span)}
-        rows = [
-            (np.array([index[m] for m in r], dtype=np.int64), tuple(r.values()))
-            for r in relation_rows(d, table)
-        ]
+        column = np.zeros(len(table.mons), dtype=np.int64)
+        column[[table.id(m) for m in span]] = np.arange(len(span))
         lower = [
-            (np.array([index[_appended(m, u)] for m in normal_monomials(low)]), low)
+            (column[[table.id(_appended(m, u)) for m in normal_monomials(low)]], low)
             for u, low in _lower_contents(d)
         ]
-        built[d] = len(span), rows, lower
+        built[d] = len(span), (indptr, column[ids], vals), lower
     del table  # its straightening memo is not needed for the ranks
 
     def ranks_mod(p):
         # one prime's accumulators, dropped before the next prime's
         accs = {}
         for d in contents:
-            width, rows, lower = built[d]
+            width, (indptr, cols, vals), lower = built[d]
             acc = accs[d] = RankAccumulator.direct_sum(
-                width, p, [(cols, accs[low]) for cols, low in lower]
+                width, p, [(at, accs[low]) for at, low in lower]
             )
-            for start in range(0, len(rows), 256):
+            for start in range(0, len(indptr) - 1, 256):
                 if acc.is_full:
                     break
-                chunk = rows[start : start + 256]
-                batch = np.zeros((len(chunk), width), dtype=np.int64)
-                for k, (cols, vals) in enumerate(chunk):
-                    batch[k, cols] = vals
-                acc.add(batch)
+                ptr = indptr[start : start + 257]
+                a, b = ptr[0], ptr[-1]
+                acc.add(CSRRows(ptr - a, cols[a:b], vals[a:b]))
         return [accs[delta].rank]
 
     return ranks_mod

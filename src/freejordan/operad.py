@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .linalg import RankAccumulator, certified_ranks, choose_primes
-from .multidegree import _appended, _Products, _slot_splits
+from .multidegree import _appended, _Products, _row_dicts, _slot_splits
 from .partitions import SnModule, character, dim_irrep, partitions, zee
 from .symreps import clifton_matrix, inverse_perm
 from .trees import (
@@ -78,7 +78,7 @@ def consequences(n: int) -> tuple:
     """
     if n < 4:
         return ()
-    out = []
+    instances = []
     seen = set()
     table = _Products()
     for split in _slot_splits((n,)):
@@ -91,13 +91,12 @@ def consequences(n: int) -> tuple:
                 continue
             seen.add(key)
             labels = iter(range(1, n + 1))  # consumed slot by slot, in order
-            elt = table.row(*(
+            instances.append([
                 table.id(monomial_key(tuple(islice(labels, min(d, 2))),
                                       [tuple(islice(labels, c)) for c in comp]))
                 for d, comp in slots
-            ))
-            if elt:
-                out.append(elt)
+            ])
+    out = list(_row_dicts(table, *table.rows(instances)))
     for u in ((n,), (n - 1, n)):
         for lower in consequences(n - len(u)):
             out.append({_appended(m, u): c for m, c in lower.items()})

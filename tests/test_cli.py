@@ -266,9 +266,13 @@ def test_cli_operad_oracle_agrees(capsys):
 
 
 def test_cli_operad_bad_partition(capsys):
-    code, _, err = run_cli(capsys, "operad", "--degree", "4", "--lambda", "2,3")
-    assert code == 2
-    assert "partition" in err
+    for shape, message in (
+        ("2,3", "not a partition of 4"),
+        ("", "expected comma-separated integers"),
+    ):
+        code, out, err = run_cli(capsys, "operad", "--degree", "4", "--lambda", shape)
+        assert code == 2 and not out, shape
+        assert message in err, shape
 
 
 def test_cli_operad_refuses_above_the_degree_bound(capsys):

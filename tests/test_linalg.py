@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freejordan import linalg
 from freejordan.errors import UnluckyPrimeError
 from freejordan.linalg import (
+    CSRRows,
     ExactRowReducer,
     RankAccumulator,
     _LEAF_ROWS,
@@ -277,6 +279,58 @@ def test_accumulator_refuses_rows_of_another_width(method, width):
     with pytest.raises(ValueError, match="width 5"):
         getattr(acc, method)(wrong)
     assert acc.rank == 1 and acc.basis().tolist() == [[1, 2, 0, 0, 3]]
+
+
+def _csr(block, rng) -> CSRRows:
+    """The nonzeros of a dense block, each row's in a shuffled column order."""
+    indptr, cols, vals = [0], [], []
+    for row in block:
+        nz = rng.permutation(np.flatnonzero(row))
+        indptr.append(indptr[-1] + len(nz))
+        cols += nz.tolist()
+        vals += row[nz].tolist()
+    return CSRRows(np.array(indptr), np.array(cols, dtype=np.int64), np.array(vals))
+
+
+@pytest.mark.parametrize("p", [blas_primes(40)[0], P31[0], 3, 5, 7])
+@pytest.mark.parametrize("gather", [linalg._GATHER, 50])
+def test_sparse_add_matches_dense_add(monkeypatch, p, gather):
+    # gather = 50 splits the pivot entries of one row across slices; with
+    # P31[0] each product of two residues is reduced before the row sums
+    monkeypatch.setattr(linalg, "_GATHER", gather)
+    rng = np.random.default_rng(p % 1000)
+    ncols = 40
+    sparse, dense = RankAccumulator(ncols, p), RankAccumulator(ncols, p)
+    for step in range(8):
+        block = rng.integers(-p + 1, p, (12, ncols)) * (rng.random((12, ncols)) < 0.15)
+        block[3] = 0  # a zero row
+        block[7] = block[2]  # a repeated row
+        if sparse.rank:
+            # rows on pivot columns only
+            piv = np.array(sparse._pivcols)
+            block[8:] = 0
+            block[8:, piv] = rng.integers(-p + 1, p, (4, len(piv)))
+        rows = _csr(block, rng)
+        assert (sparse.reduce(rows) == dense.reduce(block)).all(), step
+        assert sparse.add(rows) == dense.add(block), step
+        assert sparse._pivcols == dense._pivcols, step
+        assert (sparse.basis() == dense.basis()).all(), step
+    assert sparse.rank > 12
+
+
+@pytest.mark.parametrize("rows, message", [
+    (CSRRows(np.array([0, 2]), np.array([1, 5]), np.array([1, 1])), "outside 0..4"),
+    (CSRRows(np.array([0, 2]), np.array([-1, 2]), np.array([1, 1])), "outside 0..4"),
+    (CSRRows(np.array([0, 2, 3]), np.array([3, 3, 3]), np.array([1, 2, 1])),
+     "repeats a column"),
+    (CSRRows(np.array([0, 2]), np.array([0, 1, 2]), np.array([1, 1, 1])), "indptr"),
+    (CSRRows(np.array([1, 2]), np.array([0, 1]), np.array([1, 1])), "indptr"),
+])
+def test_sparse_add_refuses_bad_rows(rows, message):
+    acc = RankAccumulator(5, P31[0])
+    with pytest.raises(ValueError, match=message):
+        acc.add(rows)
+    assert acc.rank == 0
 
 
 @given(st.data(), st.sampled_from([0, 1]))

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freejordan import multidegree, tables
+from freejordan.cli import main
 from freejordan.errors import InfeasibleError
 from freejordan.linalg import ExactRowReducer, RankAccumulator, blas_primes
 from freejordan.multidegree import (
     _lower_contents,
     _nonzero_subcontents,
     _Products,
+    _row_dicts,
     _seeded_ranks,
     _slot_splits,
     _unit_factors,
@@ -139,7 +141,8 @@ _straighten_tree = straightener()
 
 def _table_row(*slots) -> dict:
     """The defining identity at four normal monomials, built on _TABLE."""
-    return _TABLE.row(*(_TABLE.id(b) for b in slots))
+    rows = _row_dicts(_TABLE, *_TABLE.rows([[_TABLE.id(b) for b in slots]]))
+    return rows[0] if rows else {}
 
 
 def test_relation_rows_are_integral():
@@ -281,18 +284,21 @@ def test_table_mul_is_straighten_over_a_power_of_two():
 def test_mul_rescales_its_running_sum():
     # x*x is integral and y*x is halved.  In the row at (x2, x2, x2 x2,
     # x1 x2) the first term is integral and the last is halved, so the
-    # table rescales the row's running sum
+    # table shifts the row's terms onto the larger power of two
     x, y = normal_monomials((1, 2))[:2]
     table = _Products()
     ix, iy = table.id(x), table.id(y)
     assert (table.mul(ix, ix)[0], table.mul(ix, iy)[0]) == (0, 1)
     slots = (((2,), ()), ((2,), ()), ((2, 2), ()), ((1, 2), ()))
     b1, b2, b3, b4 = (table.id(m) for m in slots)
-    s, e = table.left(b1, b2, b3)
-    assert max(s + table.mul(m, b4)[0] for m, _ in e) == 0
+    # ((b1 b2) b3) b4, expanded one product at a time as rows() does
+    x, s, m = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array([b1])
+    for n in (b2, b3, b4):
+        _, x, s, m = table._times(x, s, m, np.full(len(m), n))
+    assert s.max() == 0
     (sp, p), (sq, q) = table.mul(b1, b4), table.mul(b2, b3)
     assert max(sp + sq + table.mul(m, n)[0] for m, _ in p for n, _ in q) == 1
-    assert table.row(b1, b2, b3, b4) == _ref_row(*slots)
+    assert _table_row(*slots) == _ref_row(*slots)
 
 
 def _reached(delta: tuple) -> list:
@@ -336,11 +342,32 @@ def test_jordan_row_matches_the_fraction_reference(slots):
     assert all(type(c) is int for c in row.values())
 
 
-def test_relation_rows_match_the_fraction_reference():
-    for n in range(4, 8):
-        for delta in itertools.product(range(n + 1), repeat=3):
-            if sum(delta) == n:
-                assert relation_rows(delta) == _ref_fresh_rows(delta), delta
+def test_relation_rows_match_the_fraction_reference(monkeypatch):
+    # whatever the number of slot tuples assembled at once
+    for chunk in (multidegree._CHUNK, 1, 7):
+        monkeypatch.setattr(multidegree, "_CHUNK", chunk)
+        for n in range(4, 8):
+            for delta in itertools.product(range(n + 1), repeat=3):
+                if sum(delta) == n:
+                    assert relation_rows(delta) == _ref_fresh_rows(delta), (chunk, delta)
+
+
+def test_row_coefficients_past_the_int64_bound_raise(monkeypatch):
+    # the same products as ints times 2**40 over 2**(s + 40): a product of
+    # two such coefficients passes 2**62, and the row builder refuses it
+    # instead of letting int64 wrap
+    mul = _Products.mul
+
+    def inflated(self, i, j):
+        s, terms = mul(self, i, j)
+        return s + 40, tuple((m, c << 40) for m, c in terms)
+
+    monkeypatch.setattr(_Products, "mul", inflated)
+    with pytest.raises(ArithmeticError, match="int64"):
+        relation_rows((2, 1, 1))
+    with pytest.raises(ArithmeticError, match="int64"):
+        multidegree_dim((2, 1, 1))
+    assert main(["multidegree", "--delta", "2,1,1"]) == 2
 
 
 def test_seeded_ranks_match_the_full_row_set():

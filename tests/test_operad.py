@@ -60,9 +60,17 @@ def test_consequences_on_one_table_equal_a_fresh_table_per_row(monkeypatch):
     from freejordan.multidegree import _Products
 
     class FreshPerRow(_Products):
-        def row(self, *ids):
-            fresh = _Products()
-            return fresh.row(*(fresh.id(self.mons[i]) for i in ids))
+        def rows(self, slots):
+            # each slot tuple's row on a fresh table, in this table's ids
+            indptr, ids, vals = [0], [], []
+            for slot in slots:
+                fresh = _Products()
+                _, i, v = fresh.rows([[fresh.id(self.mons[j]) for j in slot]])
+                if len(i):  # zero rows are dropped
+                    indptr.append(indptr[-1] + len(i))
+                    ids += [self.id(fresh.mons[j]) for j in i.tolist()]
+                    vals += v.tolist()
+            return np.array(indptr), np.array(ids, dtype=np.int64), np.array(vals)
 
     want = {n: consequences(n) for n in range(4, 9)}
     monkeypatch.setattr(operad_mod, "_Products", FreshPerRow)

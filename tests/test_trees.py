@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freejordan.linalg import add_scaled
-from freejordan.multidegree import _Products, normal_monomials
+from freejordan.multidegree import _Products, _row_dicts, normal_monomials
 from freejordan.trees import (
     all_trees,
     leaf,
@@ -362,7 +362,8 @@ def test_straighten_matches_the_fraction_reference_on_random_trees(n, g, rnd):
 
 def _jordan_row_on_labels(*labels):
     table = _Products()
-    return table.row(*(table.id(((x,), ())) for x in labels))
+    rows = _row_dicts(table, *table.rows([[table.id(((x,), ())) for x in labels]]))
+    return rows[0] if rows else {}
 
 
 def test_jordan_element_frozen():
